@@ -104,10 +104,6 @@ class Assignment:
         return GroupSizes(*counts)
 
     @property
-    def labels(self) -> np.ndarray:
-        return np.array(GROUPS, dtype="U1")[self.codes]
-
-    @property
     def label_string(self) -> str:
         return "".join(GROUPS[k] for k in self.codes)
 

@@ -13,12 +13,13 @@ and engine output is independent of ``--threads``.
 
 import argparse
 import json
+import math
 import os
 import sys
 
 import numpy as np
 
-from .assignment import EnumerationLimitError, GroupSizes
+from .assignment import GROUP_CODES, EnumerationLimitError, GroupSizes
 from .experiments import exact_distribution, monte_carlo
 from .population import (
     PopulationFormatError,
@@ -34,15 +35,19 @@ _PAIRS = (("A", "B"), ("A", "C"), ("B", "C"))
 
 
 def _plain(obj):
-    """Convert report values to JSON/CSV-friendly python containers."""
+    """Convert report values to JSON/CSV-friendly python containers.
+
+    Undefined (non-finite) numbers become None: null in JSON, which has
+    no NaN, an empty cell in CSV and ``None`` in tables.
+    """
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return _plain(obj.tolist())
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, (np.integer,)):
         return int(obj)
     return obj
@@ -139,7 +144,7 @@ def _render_table(report) -> str:
 
 def _render(report, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(_plain(report), indent=2) + "\n"
+        return json.dumps(_plain(report), indent=2, allow_nan=False) + "\n"
     if fmt == "csv":
         return _render_csv(report)
     return _render_table(report)
@@ -163,7 +168,11 @@ def _parse_pair(text: str) -> tuple[str, str]:
 
 
 def _default_threads() -> int:
-    return max(1, int(os.environ.get("TRIARM_THREADS", "1")))
+    text = os.environ.get("TRIARM_THREADS", "1")
+    try:
+        return max(1, int(text))
+    except ValueError:
+        raise ValueError(f"TRIARM_THREADS must be an integer, got {text!r}") from None
 
 
 def _prepare_population(args):
@@ -278,9 +287,8 @@ def _cmd_simulate(args):
         dump_path=args.dump,
     )
     comparison = {}
-    codes = {"A": 0, "B": 1, "C": 2}
     for s, t in _PAIRS:
-        si, ti = codes[s], codes[t]
+        si, ti = GROUP_CODES[s], GROUP_CODES[t]
         empirical = _contrast(summary.mr_cov, si, ti)
         nominal = _contrast(summary.mean_nominal_cov[:3, :3], si, ti)
         comparison[f"{s}-{t}"] = {
@@ -414,9 +422,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if getattr(args, "threads", None) is None:
-        args.threads = _default_threads()
     try:
+        if args.threads is None:
+            args.threads = _default_threads()
         report, notes = args.handler(args)
     except EnumerationLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)

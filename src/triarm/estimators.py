@@ -6,11 +6,14 @@ independent computation routes are provided and cross-checked in tests:
 
 * :func:`mr_estimates` works with explicit residual vectors: ``e`` is
   the response with group means removed, ``f`` the covariate with group
-  means removed, and the adjustment slope is ``e.f / |f|^2``.
-* :func:`mr_via_normal_equations` assembles the 4x4 cross-product
-  system from raw sums and solves it through the Schur complement on
-  the covariate row (the matrix is diagonal-plus-border, so the solve
-  is closed-form).
+  means removed, the adjustment slope is ``e.f / |f|^2`` and the
+  residual variance comes from the residual vector ``e - q f``.
+* The group-sum route never forms residual vectors.  The design
+  cross-product is diagonal-plus-border, so eliminating the covariate
+  row by its Schur complement solves it in closed form from raw group
+  sums.  One batched kernel implements it: :class:`BatchEvaluator` runs
+  it over many assignments for the engines, and
+  :func:`mr_via_normal_equations` is its one-row call.
 
 Both return the same :class:`MREstimate` contract, including the
 conventional ("nominal") covariance matrix, which randomization does
@@ -39,7 +42,11 @@ class SingularDesignError(ValueError):
 
 @dataclass(frozen=True)
 class EffectEstimate:
-    """Unadjusted (intention-to-treat) effect estimates: group means of Y."""
+    """Effect estimates for groups A, B, C.
+
+    Unadjusted (intention-to-treat) estimates are the group means of Y;
+    :class:`MREstimate` extends this with the covariate adjustment.
+    """
 
     effect_a: float
     effect_b: float
@@ -53,23 +60,19 @@ class EffectEstimate:
 
 
 @dataclass(frozen=True)
-class MREstimate:
+class MREstimate(EffectEstimate):
     """Covariate-adjusted estimates plus the pieces behind them.
 
     ``q_hat`` is the adjustment slope (residual response on residual
-    covariate); ``z_coefficient`` is the covariate coefficient of the
-    full four-column regression.  They agree algebraically; keeping both
-    makes the agreement testable.  ``residual_sq_e``, ``residual_sq_f``
-    and ``residual_ef`` are |e|^2, |f|^2 and e.f.  ``sigma_hat_sq`` and
-    ``nominal_cov`` are None when n <= 4 (no residual degrees of
-    freedom).
+    covariate), which is also the covariate coefficient of the full
+    four-column regression (``z_coefficient``).  The routes are checked
+    against each other, and both against generic least squares, in the
+    tests.  ``residual_sq_e``, ``residual_sq_f`` and ``residual_ef`` are
+    |e|^2, |f|^2 and e.f.  ``sigma_hat_sq`` and ``nominal_cov`` are None
+    when n <= 4 (no residual degrees of freedom).
     """
 
-    effect_a: float
-    effect_b: float
-    effect_c: float
     q_hat: float
-    z_coefficient: float
     sigma_hat_sq: float | None
     nominal_cov: np.ndarray | None
     residual_sq_e: float
@@ -77,14 +80,11 @@ class MREstimate:
     residual_ef: float
     n: int
     sizes: GroupSizes
-    z_group_means: np.ndarray
-    z_sum_sq: float
 
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.effect_a, self.effect_b, self.effect_c])
-
-    def effect(self, group: str) -> float:
-        return float(self.as_vector()[_check_group(group)])
+    @property
+    def z_coefficient(self) -> float:
+        """Covariate coefficient of the four-column regression; equals ``q_hat``."""
+        return self.q_hat
 
 
 def itt_estimates(Y, asg: Assignment) -> EffectEstimate:
@@ -103,42 +103,69 @@ def effect_difference(est, s: str, t: str) -> float:
     return est.effect(t) - est.effect(s)
 
 
-def _design_inverse(counts: np.ndarray, zbar: np.ndarray, f_sq: float) -> np.ndarray:
-    # closed-form inverse of X'X (diagonal counts bordered by covariate
-    # sums); f_sq is the Schur complement of the covariate row
-    inv = np.diag(1.0 / counts) + np.outer(zbar, zbar) / f_sq
-    out = np.empty((4, 4))
-    out[:3, :3] = inv
-    out[:3, 3] = out[3, :3] = -zbar / f_sq
-    out[3, 3] = 1.0 / f_sq
+def _xtx_inverse(counts: np.ndarray, zbar: np.ndarray, f_sq: np.ndarray) -> np.ndarray:
+    """Closed-form (X'X)^-1 per row; ``f_sq`` is the covariate row's Schur complement."""
+    inv = np.empty((f_sq.shape[0], 4, 4))
+    inv[:, :3, :3] = (zbar[:, :, None] * zbar[:, None, :]) / f_sq[:, None, None]
+    idx = np.arange(3)
+    inv[:, idx, idx] += 1.0 / counts
+    inv[:, :3, 3] = inv[:, 3, :3] = -zbar / f_sq[:, None]
+    inv[:, 3, 3] = 1.0 / f_sq
+    return inv
+
+
+def _group_sum_regression(t, g, u, ysq, zsq, counts, n, want_nominal=False) -> dict:
+    """Both estimators for m assignments from their raw group sums.
+
+    ``t`` and ``g`` are (m, 3) per-group sums of Y and z, ``u`` and
+    ``ysq`` are (m,) sums of zY and Y^2, ``zsq`` is the sum of z^2 and
+    ``counts`` the float group counts.  Rows whose design is singular
+    come back with ``valid`` False and NaN estimates.  ``sigma_hat_sq``
+    (and so ``nominal_cov``) is NaN when n <= 4.
+    """
+    ybar = t / counts
+    zbar = g / counts
+    f_sq = zsq - (g * g / counts).sum(axis=1)
+    valid = f_sq > SINGULARITY_TOL * n
+    safe_f = np.where(valid, f_sq, np.nan)
+    ef = u - (g * t / counts).sum(axis=1)
+    q = ef / safe_f
+    e_sq = ysq - (t * t / counts).sum(axis=1)
+    sigma_sq = (e_sq - q * q * f_sq) / (n - 4) if n > 4 else np.full(len(q), np.nan)
+    out = {
+        "itt": ybar,
+        "mr": ybar - q[:, None] * zbar,
+        "q_hat": q,
+        "sigma_hat_sq": sigma_sq,
+        "valid": valid,
+        "e_sq": e_sq,
+        "f_sq": f_sq,
+        "ef": ef,
+    }
+    if want_nominal:
+        out["nominal_cov"] = sigma_sq[:, None, None] * _xtx_inverse(counts, zbar, safe_f)
     return out
 
 
-def _assemble(effects, q_hat, z_coefficient, e_sq, f_sq, ef, n, sizes, zbar, z_sum_sq):
-    if n > 4:
-        sigma_sq = (e_sq - q_hat * q_hat * f_sq) / (n - 4)
-        nominal = sigma_sq * _design_inverse(sizes.counts().astype(float), zbar, f_sq)
+def _assemble(asg: Assignment, effects, q_hat, sigma_sq, nominal, e_sq, f_sq, ef) -> MREstimate:
+    if asg.n > 4:
+        sigma_sq = float(sigma_sq)
+        nominal = np.array(nominal, dtype=np.float64)
         nominal.setflags(write=False)
     else:
-        sigma_sq = None
-        nominal = None
-    zbar = np.asarray(zbar, dtype=np.float64).copy()
-    zbar.setflags(write=False)
+        sigma_sq = nominal = None
     return MREstimate(
         effect_a=float(effects[0]),
         effect_b=float(effects[1]),
         effect_c=float(effects[2]),
         q_hat=float(q_hat),
-        z_coefficient=float(z_coefficient),
-        sigma_hat_sq=None if sigma_sq is None else float(sigma_sq),
+        sigma_hat_sq=sigma_sq,
         nominal_cov=nominal,
         residual_sq_e=float(e_sq),
         residual_sq_f=float(f_sq),
         residual_ef=float(ef),
-        n=n,
-        sizes=sizes,
-        z_group_means=zbar,
-        z_sum_sq=float(z_sum_sq),
+        n=asg.n,
+        sizes=asg.sizes,
     )
 
 
@@ -153,8 +180,7 @@ def _validated(z, Y, asg: Assignment):
 def mr_estimates(z, Y, asg: Assignment) -> MREstimate:
     """Adjusted estimates via explicit residual vectors."""
     z, Y = _validated(z, Y, asg)
-    sizes = asg.sizes
-    counts = sizes.counts()
+    counts = asg.sizes.counts()
     ybar = np.bincount(asg.codes, weights=Y, minlength=3) / counts
     zbar = np.bincount(asg.codes, weights=z, minlength=3) / counts
     e = Y - ybar[asg.codes]
@@ -164,53 +190,42 @@ def mr_estimates(z, Y, asg: Assignment) -> MREstimate:
         raise SingularDesignError()
     ef = float(e @ f)
     q_hat = ef / f_sq
-    effects = ybar - q_hat * zbar
-    return _assemble(
-        effects, q_hat, q_hat, float(e @ e), f_sq, ef, asg.n, sizes, zbar, float(z @ z)
-    )
+    r = e - q_hat * f
+    sigma_sq = float(r @ r) / (asg.n - 4) if asg.n > 4 else math.nan
+    nominal = sigma_sq * _xtx_inverse(counts, zbar[None], np.array([f_sq]))[0]
+    return _assemble(asg, ybar - q_hat * zbar, q_hat, sigma_sq, nominal, float(e @ e), f_sq, ef)
 
 
 def mr_via_normal_equations(z, Y, asg: Assignment) -> MREstimate:
     """Adjusted estimates via the bordered cross-product system.
 
-    Builds the raw sums behind X'X and X'Y and eliminates the covariate
-    row by its Schur complement; never forms residual vectors.
+    Builds the raw sums behind X'X and X'Y and hands them to the batched
+    group-sum kernel as a single row; never forms residual vectors.
     """
     z, Y = _validated(z, Y, asg)
-    sizes = asg.sizes
-    counts = sizes.counts().astype(float)
+    counts = asg.sizes.counts().astype(float)
     t = np.bincount(asg.codes, weights=Y, minlength=3)  # response sums per group
     g = np.bincount(asg.codes, weights=z, minlength=3)  # covariate sums per group
-    u = float(z @ Y)
-    h = float(z @ z)
-    schur = h - float(np.sum(g * g / counts))
-    if schur <= SINGULARITY_TOL * asg.n:
-        raise SingularDesignError()
-    ef = u - float(np.sum(g * t / counts))
-    z_coefficient = ef / schur
-    effects = (t - g * z_coefficient) / counts
-    e_sq = float(Y @ Y) - float(np.sum(t * t / counts))
-    q_hat = ef / schur
-    return _assemble(
-        effects, q_hat, z_coefficient, e_sq, schur, ef, asg.n, sizes, g / counts, h
+    fit = _group_sum_regression(
+        t[None], g[None], np.array([z @ Y]), np.array([Y @ Y]), z @ z, counts, asg.n, True
     )
+    if not fit["valid"][0]:
+        raise SingularDesignError()
+    keys = ("mr", "q_hat", "sigma_hat_sq", "nominal_cov", "e_sq", "f_sq", "ef")
+    return _assemble(asg, *(fit[key][0] for key in keys))
 
 
 def nominal_covariance(est: MREstimate, n: int) -> tuple[np.ndarray, float]:
     """Conventional covariance matrix sigma^2 (X'X)^-1 and sigma^2.
 
-    sigma^2 divides the squared residual norm by n - 4 and uses the
-    orthogonality identity |e - q f|^2 = |e|^2 - q^2 |f|^2.
+    sigma^2 divides the squared residual norm by n - 4.  Both are the
+    values stored on ``est`` by the route that computed it.
     """
     if n != est.n:
         raise ValueError(f"estimate was computed from n={est.n}, got n={n}")
     if n <= 4:
         raise ValueError("insufficient degrees of freedom")
-    sigma_sq = (est.residual_sq_e - est.q_hat**2 * est.residual_sq_f) / (n - 4)
-    cov = sigma_sq * _design_inverse(
-        est.sizes.counts().astype(float), est.z_group_means, est.residual_sq_f
-    )
-    return cov, float(sigma_sq)
+    return est.nominal_cov, est.sigma_hat_sq
 
 
 class BatchEvaluator:
@@ -221,6 +236,8 @@ class BatchEvaluator:
     index matrix whose leading columns are the A then B then C members
     (sampling).  Rows whose design is singular come back with ``valid``
     False and NaN estimates; callers decide whether to drop or redraw.
+    Built with ``q_tilde``, results also carry the scaled lead term
+    ``zeta``.
     """
 
     def __init__(self, pop, sizes: GroupSizes, q_tilde: float | None = None):
@@ -237,72 +254,46 @@ class BatchEvaluator:
         self.truth = np.array([math.fsum(x) / self.n for x in self.responses])
         self.q_tilde = q_tilde
 
-    def _from_group_sums(self, t, g, u, ysq, sum_az_a, want_nominal, want_zeta):
-        n = self.n
-        counts = self.counts
-        ybar = t / counts
-        zbar = g / counts
-        f_sq = self.z_sum_sq - (g * g / counts).sum(axis=1)
-        valid = f_sq > SINGULARITY_TOL * n
-        safe_f = np.where(valid, f_sq, np.nan)
-        ef = u - (g * t / counts).sum(axis=1)
-        q = ef / safe_f
-        mr = ybar - q[:, None] * zbar
-        itt = ybar
-        e_sq = ysq - (t * t / counts).sum(axis=1)
-        sigma_sq = (e_sq - q * q * f_sq) / (n - 4) if n > 4 else np.full(len(q), np.nan)
-        out = {
-            "itt": itt,
-            "mr": mr,
-            "q_hat": q,
-            "sigma_hat_sq": sigma_sq,
-            "valid": valid,
-            "sum_az_a": sum_az_a,
-        }
-        if want_nominal:
-            inv = np.empty((q.shape[0], 4, 4))
-            inv[:, :3, :3] = (zbar[:, :, None] * zbar[:, None, :]) / safe_f[:, None, None]
-            idx = np.arange(3)
-            inv[:, idx, idx] += 1.0 / counts
-            inv[:, :3, 3] = inv[:, 3, :3] = -zbar / safe_f[:, None]
-            inv[:, 3, 3] = 1.0 / safe_f
-            out["nominal_cov"] = sigma_sq[:, None, None] * inv
-        if want_zeta:
-            if self.q_tilde is None:
-                raise ValueError("zeta requested but no q_tilde supplied")
-            dev = ybar - self.truth
-            out["zeta"] = np.sqrt(n) * (dev - self.q_tilde * zbar)
+    def _from_group_sums(self, t, g, zy, ysq, want_nominal):
+        # zy: per-group sums of zY; its A column is also the group-A mean
+        # of az that the Monte Carlo concentration check reads
+        u = zy[:, 0] + zy[:, 1] + zy[:, 2]
+        out = _group_sum_regression(
+            t, g, u, ysq, self.z_sum_sq, self.counts, self.n, want_nominal
+        )
+        out["sum_az_a"] = zy[:, 0] / self.counts[0]
+        if self.q_tilde is not None:
+            dev = out["itt"] - self.truth
+            out["zeta"] = np.sqrt(self.n) * (dev - self.q_tilde * (g / self.counts))
         return out
 
-    def evaluate_codes(self, codes: np.ndarray, want_nominal=False, want_zeta=False):
+    def evaluate_codes(self, codes: np.ndarray, want_nominal=False):
         codes = np.asarray(codes)
-        masks = [(codes == k).astype(np.float64) for k in range(3)]
         z = self.z
         t = np.empty((codes.shape[0], 3))
         g = np.empty_like(t)
-        u = np.zeros(codes.shape[0])
+        zy = np.empty_like(t)
         ysq = np.zeros(codes.shape[0])
         for k in range(3):
+            mask = (codes == k).astype(np.float64)
             w = np.column_stack([self.responses[k], self.products[k], self.squares[k], z])
-            sums = masks[k] @ w
+            sums = mask @ w
             t[:, k] = sums[:, 0]
-            u += sums[:, 1]
+            zy[:, k] = sums[:, 1]
             ysq += sums[:, 2]
             g[:, k] = sums[:, 3]
-        sum_az_a = (masks[0] @ self.products[0]) / self.counts[0]
-        return self._from_group_sums(t, g, u, ysq, sum_az_a, want_nominal, want_zeta)
+        return self._from_group_sums(t, g, zy, ysq, want_nominal)
 
-    def evaluate_index(self, idx: np.ndarray, want_nominal=False, want_zeta=False):
+    def evaluate_index(self, idx: np.ndarray, want_nominal=False):
         n_a, n_b, _ = self.sizes.counts()
         blocks = (idx[:, :n_a], idx[:, n_a : n_a + n_b], idx[:, n_a + n_b :])
         t = np.empty((idx.shape[0], 3))
         g = np.empty_like(t)
-        u = np.zeros(idx.shape[0])
+        zy = np.empty_like(t)
         ysq = np.zeros(idx.shape[0])
         for k, block in enumerate(blocks):
             t[:, k] = self.responses[k][block].sum(axis=1)
-            u += self.products[k][block].sum(axis=1)
+            zy[:, k] = self.products[k][block].sum(axis=1)
             ysq += self.squares[k][block].sum(axis=1)
             g[:, k] = self.z[block].sum(axis=1)
-        sum_az_a = self.products[0][blocks[0]].sum(axis=1) / self.counts[0]
-        return self._from_group_sums(t, g, u, ysq, sum_az_a, want_nominal, want_zeta)
+        return self._from_group_sums(t, g, zy, ysq, want_nominal)

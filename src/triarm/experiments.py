@@ -1,15 +1,18 @@
 """Distribution engines: exhaustive enumeration and seeded Monte Carlo.
 
 Both engines evaluate the unadjusted and adjusted estimators over
-assignments and reduce to summary moments.  Reductions are compensated
-(Kahan-style) and merged in fixed batch order, so results are
-bit-identical for any worker count; Monte Carlo batches draw from
+assignments and reduce each batch to its count, mean and co-moments
+(plus third and fourth moments of the lead term in Monte Carlo).  Batch
+moments are merged pairwise (Chan, Golub & LeVeque 1979; Pebay 2008) in
+fixed batch order, so results are bit-identical for any worker count and
+no moment is rebuilt from raw power sums.  Monte Carlo batches draw from
 per-batch generator streams split deterministically from the master
 seed, so they are also independent of how work is scheduled.
 
 Singular assignments (covariate collinear with the group dummies) are
 excluded and counted by the exact engine, and redrawn and counted by the
-Monte Carlo engine.
+Monte Carlo engine, which gives up after :data:`MAX_REDRAW_ROUNDS`
+rounds on one batch.
 """
 
 import csv
@@ -40,23 +43,58 @@ from .theory import (
 _GROUP_LETTERS = np.array(["A", "B", "C"], dtype="U1")
 
 
-class _KahanSum:
-    """Compensated accumulator; error stays O(eps) per element regardless of count."""
+#: Redraw rounds a Monte Carlo batch may spend on singular draws.  At a
+#: singular rate p, a batch of B rows still holds one after this many
+#: rounds with chance about B * p**100 (under 1e-12 for B = 4096, p = 0.7).
+MAX_REDRAW_ROUNDS = 100
 
-    def __init__(self, shape=()):
-        self._total = np.zeros(shape)
-        self._comp = np.zeros(shape)
 
-    def add(self, value):
-        value = np.asarray(value, dtype=np.float64)
-        t = self._total + value
-        big = np.abs(self._total) >= np.abs(value)
-        self._comp = self._comp + np.where(big, (self._total - t) + value, (value - t) + self._total)
-        self._total = t
+class _Moments:
+    """Mergeable count, mean and central moment sums of row vectors.
 
-    @property
-    def value(self) -> np.ndarray:
-        return self._total + self._comp
+    ``add`` folds in a batch of rows: the mean and co-moment matrix by the
+    pairwise update of Chan, Golub & LeVeque (1979), the per-component
+    third and fourth moment sums as in Pebay (2008, SAND2008-6212).
+    Merging the same batches in the same order gives bit-identical results.
+    """
+
+    def __init__(self, dim: int):
+        self.count = 0
+        self.mean = np.zeros(dim)
+        self.m2 = np.zeros((dim, dim))
+        self.m3 = np.zeros(dim)
+        self.m4 = np.zeros(dim)
+
+    def add(self, rows: np.ndarray) -> None:
+        if rows.shape[0] == 0:
+            return
+        # one contiguous row per component: fast, pairwise-summed reductions
+        cols = np.ascontiguousarray(rows.T)
+        mean_b = cols.mean(axis=1)
+        d = cols - mean_b[:, None]
+        d2 = d * d
+        m2_b, m3_b, m4_b = d @ d.T, (d2 * d).sum(axis=1), (d2 * d2).sum(axis=1)
+        n_a, n_b = float(self.count), float(rows.shape[0])
+        n = n_a + n_b
+        w = n_a * n_b / n
+        delta = mean_b - self.mean
+        v_a, v_b = np.diag(self.m2), np.diag(m2_b)
+        self.m4 += (
+            m4_b
+            + delta**4 * w * (n_a * n_a - n_a * n_b + n_b * n_b) / (n * n)
+            + 6.0 * delta**2 * (n_a * n_a * v_b + n_b * n_b * v_a) / (n * n)
+            + 4.0 * delta * (n_a * m3_b - n_b * self.m3) / n
+        )
+        self.m3 += m3_b + delta**3 * w * (n_a - n_b) / n + 3.0 * delta * (n_a * v_b - n_b * v_a) / n
+        self.m2 += m2_b + np.outer(delta, delta) * w
+        self.mean += delta * (n_b / n)
+        self.count += rows.shape[0]
+
+    def skewness_kurtosis(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-component skewness and kurtosis; NaN where the variance is 0."""
+        var = np.diag(self.m2) / self.count
+        var = np.where(var > 0.0, var, np.nan)
+        return self.m3 / self.count / var**1.5, self.m4 / self.count / var**2
 
 
 def _process_in_order(jobs, compute, merge, threads: int) -> None:
@@ -82,10 +120,6 @@ def _process_in_order(jobs, compute, merge, threads: int) -> None:
         while next_merge < next_submit:
             merge(pending.pop(next_merge).result())
             next_merge += 1
-
-
-def _sample_cov(outer_sum: np.ndarray, mean: np.ndarray, count: int) -> np.ndarray:
-    return (outer_sum - count * np.outer(mean, mean)) / (count - 1)
 
 
 @dataclass
@@ -156,10 +190,7 @@ def exact_distribution(
     evaluator = BatchEvaluator(pop, sizes)
     truth = evaluator.truth
 
-    sums = {name: _KahanSum(3) for name in ("itt", "mr")}
-    outers = {name: _KahanSum((3, 3)) for name in ("itt", "mr")}
-    q_sum = _KahanSum()
-    state = {"valid": 0, "singular": 0}
+    itt, mr, q_hat = _Moments(3), _Moments(3), _Moments(1)
     table_parts = [] if keep_table else None
     dump = _open_dump(dump_path, "assignment") if dump_path else None
 
@@ -170,15 +201,9 @@ def exact_distribution(
 
     def merge(res):
         valid = res["valid"]
-        state["valid"] += int(valid.sum())
-        state["singular"] += int((~valid).sum())
-        d_itt = res["itt"][valid] - truth
-        d_mr = res["mr"][valid] - truth
-        sums["itt"].add(d_itt.sum(axis=0))
-        sums["mr"].add(d_mr.sum(axis=0))
-        outers["itt"].add(d_itt.T @ d_itt)
-        outers["mr"].add(d_mr.T @ d_mr)
-        q_sum.add(res["q_hat"][valid].sum())
+        itt.add(res["itt"][valid] - truth)
+        mr.add(res["mr"][valid] - truth)
+        q_hat.add(res["q_hat"][valid, None])
         if dump is not None:
             _dump_rows(dump[1], ["".join(row) for row in _GROUP_LETTERS[res["codes"]]], res)
         if table_parts is not None:
@@ -190,11 +215,9 @@ def exact_distribution(
         if dump is not None:
             dump[0].close()
 
-    count = state["valid"]
+    count = itt.count
     if count == 0:
         raise SingularDesignError("all assignments are singular")
-    itt_bias = sums["itt"].value / count
-    mr_bias = sums["mr"].value / count
     table = None
     if table_parts is not None:
         table = AssignmentTable(
@@ -207,15 +230,15 @@ def exact_distribution(
         )
     return ExactSummary(
         assignment_count=total,
-        singular_count=state["singular"],
+        singular_count=total - count,
         truth=truth,
-        itt_mean=truth + itt_bias,
-        itt_bias=itt_bias,
-        itt_cov=outers["itt"].value / count - np.outer(itt_bias, itt_bias),
-        mr_mean=truth + mr_bias,
-        mr_bias=mr_bias,
-        mr_cov=outers["mr"].value / count - np.outer(mr_bias, mr_bias),
-        mr_z_coef_mean=float(q_sum.value / count),
+        itt_mean=truth + itt.mean,
+        itt_bias=itt.mean,
+        itt_cov=itt.m2 / count,
+        mr_mean=truth + mr.mean,
+        mr_bias=mr.mean,
+        mr_cov=mr.m2 / count,
+        mr_z_coef_mean=float(q_hat.mean[0]),
         table=table,
     )
 
@@ -244,8 +267,11 @@ class MCSummary:
     ``zeta`` refers to the scaled lead term sqrt(n) * (group-mean
     deviation - q_tilde * covariate group mean), whose covariance the
     asymptotic theory predicts; skewness/kurtosis per component feed the
-    normality checks.  Covariances are sample covariances across
-    replicates; ``*_se`` are Monte Carlo standard errors of the means.
+    normality checks (NaN for a component with zero variance).
+    Covariances are sample covariances across replicates; ``*_se`` are
+    Monte Carlo standard errors of the means.  ``mean_sigma_hat_sq`` and
+    ``mean_nominal_cov`` are NaN when n <= 4 (no residual degrees of
+    freedom).
     """
 
     replicates: int
@@ -299,12 +325,9 @@ def monte_carlo(
     truth = evaluator.truth
     az_mean = float(evaluator.products[0].mean())
     n = pop.n
-    want_nominal = n > 4
 
-    sums = {name: _KahanSum(3) for name in ("itt", "mr", "z1", "z2", "z3", "z4")}
-    outers = {name: _KahanSum((3, 3)) for name in ("itt", "mr", "zeta")}
-    scalars = {name: _KahanSum() for name in ("q_hat", "sigma_hat_sq")}
-    nominal_sum = _KahanSum((4, 4))
+    itt, mr, zeta = _Moments(3), _Moments(3), _Moments(3)
+    q_hat, sigma_hat_sq, nominal = _Moments(1), _Moments(1), _Moments(16)
     state = {"redraws": 0, "max_dev": 0.0, "written": 0}
     dump = _open_dump(dump_path, "replicate") if dump_path else None
 
@@ -315,40 +338,36 @@ def monte_carlo(
         rng = worker_generator(seed, index)
         idx = np.tile(base_row, (size, 1))
         rng.permuted(idx, axis=1, out=idx)
-        res = evaluator.evaluate_index(idx, want_nominal=want_nominal, want_zeta=True)
+        res = evaluator.evaluate_index(idx, want_nominal=True)
         redraws = 0
-        while True:
-            bad = np.flatnonzero(~res["valid"])
+        bad = np.flatnonzero(~res["valid"])
+        for _ in range(MAX_REDRAW_ROUNDS):
             if bad.size == 0:
                 break
             redraws += int(bad.size)
             sub = np.tile(base_row, (bad.size, 1))
             rng.permuted(sub, axis=1, out=sub)
-            idx[bad] = sub
-            patch = evaluator.evaluate_index(idx[bad], want_nominal=want_nominal, want_zeta=True)
+            patch = evaluator.evaluate_index(sub, want_nominal=True)
             for key, arr in patch.items():
                 res[key][bad] = arr
+            bad = bad[~patch["valid"]]
+        if bad.size:
+            singular = redraws + int(bad.size)
+            raise SingularDesignError(
+                f"singular design: {singular} of {size + redraws} draws in batch {index} were "
+                f"singular (fraction {singular / (size + redraws):.3g}) after {MAX_REDRAW_ROUNDS} rounds"
+            )
         res["redraws"] = redraws
         return res
 
     def merge(res):
         state["redraws"] += res["redraws"]
-        d_itt = res["itt"] - truth
-        d_mr = res["mr"] - truth
-        zeta = res["zeta"]
-        sums["itt"].add(d_itt.sum(axis=0))
-        sums["mr"].add(d_mr.sum(axis=0))
-        outers["itt"].add(d_itt.T @ d_itt)
-        outers["mr"].add(d_mr.T @ d_mr)
-        sums["z1"].add(zeta.sum(axis=0))
-        sums["z2"].add((zeta**2).sum(axis=0))
-        sums["z3"].add((zeta**3).sum(axis=0))
-        sums["z4"].add((zeta**4).sum(axis=0))
-        outers["zeta"].add(zeta.T @ zeta)
-        scalars["q_hat"].add(res["q_hat"].sum())
-        scalars["sigma_hat_sq"].add(res["sigma_hat_sq"].sum() if want_nominal else np.nan)
-        if want_nominal:
-            nominal_sum.add(res["nominal_cov"].sum(axis=0))
+        itt.add(res["itt"] - truth)
+        mr.add(res["mr"] - truth)
+        zeta.add(res["zeta"])
+        q_hat.add(res["q_hat"][:, None])
+        sigma_hat_sq.add(res["sigma_hat_sq"][:, None])
+        nominal.add(res["nominal_cov"].reshape(-1, 16))
         state["max_dev"] = max(state["max_dev"], float(np.abs(res["sum_az_a"] - az_mean).max()))
         if dump is not None:
             _dump_rows(dump[1], range(state["written"], state["written"] + len(res["q_hat"])), res)
@@ -361,18 +380,9 @@ def monte_carlo(
         if dump is not None:
             dump[0].close()
 
-    itt_bias = sums["itt"].value / reps
-    mr_bias = sums["mr"].value / reps
-    itt_cov = _sample_cov(outers["itt"].value, itt_bias, reps)
-    mr_cov = _sample_cov(outers["mr"].value, mr_bias, reps)
-    # central moments of zeta from raw power sums
-    m1 = sums["z1"].value / reps
-    r2 = sums["z2"].value / reps
-    r3 = sums["z3"].value / reps
-    r4 = sums["z4"].value / reps
-    m2 = r2 - m1**2
-    m3 = r3 - 3.0 * m1 * r2 + 2.0 * m1**3
-    m4 = r4 - 4.0 * m1 * r3 + 6.0 * m1**2 * r2 - 3.0 * m1**4
+    itt_cov = itt.m2 / (reps - 1)
+    mr_cov = mr.m2 / (reps - 1)
+    zeta_skewness, zeta_kurtosis = zeta.skewness_kurtosis()
     return MCSummary(
         replicates=reps,
         seed=seed,
@@ -381,21 +391,21 @@ def monte_carlo(
         singular_redraws=state["redraws"],
         truth=truth,
         q_tilde=qt,
-        itt_mean=truth + itt_bias,
-        itt_bias=itt_bias,
+        itt_mean=truth + itt.mean,
+        itt_bias=itt.mean,
         itt_cov=itt_cov,
         itt_se=np.sqrt(np.diag(itt_cov) / reps),
-        mr_mean=truth + mr_bias,
-        mr_bias=mr_bias,
+        mr_mean=truth + mr.mean,
+        mr_bias=mr.mean,
         mr_cov=mr_cov,
         mr_se=np.sqrt(np.diag(mr_cov) / reps),
-        mean_q_hat=float(scalars["q_hat"].value / reps),
-        mean_sigma_hat_sq=float(scalars["sigma_hat_sq"].value / reps),
-        mean_nominal_cov=nominal_sum.value / reps,
-        zeta_mean=m1,
-        zeta_cov=_sample_cov(outers["zeta"].value, m1, reps),
-        zeta_skewness=m3 / m2**1.5,
-        zeta_kurtosis=m4 / m2**2,
+        mean_q_hat=float(q_hat.mean[0]),
+        mean_sigma_hat_sq=float(sigma_hat_sq.mean[0]),
+        mean_nominal_cov=nominal.mean.reshape(4, 4),
+        zeta_mean=zeta.mean,
+        zeta_cov=zeta.m2 / (reps - 1),
+        zeta_skewness=zeta_skewness,
+        zeta_kurtosis=zeta_kurtosis,
         max_abs_dev_az_a=state["max_dev"],
     )
 

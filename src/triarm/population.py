@@ -78,10 +78,6 @@ class Population:
             raise ValueError(f"unknown variable {name!r}; expected one of {VARIABLES}")
         return getattr(self, name)
 
-    def responses(self) -> np.ndarray:
-        """The three response vectors stacked as a (3, n) array."""
-        return np.stack([self.a, self.b, self.c])
-
 
 @dataclass(frozen=True)
 class MomentSet:
@@ -146,10 +142,6 @@ class ZNormalization:
 
     shift: float
     scale: float
-
-    @property
-    def is_identity(self) -> bool:
-        return self.shift == 0.0 and self.scale == 1.0
 
 
 def normalize_z(pop: Population) -> tuple[Population, ZNormalization]:
@@ -248,11 +240,12 @@ def condition_report(pop: Population, sizes) -> ConditionReport:
 def load_population(path) -> Population:
     """Read a population from CSV.
 
-    The header must name exactly the columns ``a,b,c,z`` (any order);
-    every body cell must parse as a finite decimal number.  Rows are
-    kept in file order.
+    The file is UTF-8, with or without a byte-order mark.  The header
+    must name exactly the columns ``a,b,c,z`` (any order); every body
+    cell must parse as a finite decimal number.  Rows are kept in file
+    order.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

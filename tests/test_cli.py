@@ -1,12 +1,46 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import triarm
 from triarm import GroupSizes, load_population, normalize_z, q_tilde, theory_report
 from triarm.cli import main
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def strict_json(text):
+    """Parse a report as RFC 8259 JSON: NaN and Infinity are errors."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+def write_population(tmp_path, text, name="pop.csv"):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def run_cli_process(*argv, timeout=60):
+    """Run the CLI in a fresh interpreter, killed after ``timeout`` seconds."""
+    env = dict(os.environ)
+    src = str(Path(triarm.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "triarm.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env=env,
+    )
 
 
 @pytest.fixture()
@@ -29,7 +63,7 @@ class TestAnalyze:
     def test_report_values(self, capsys, table_csv):
         code, out, err = run_cli(capsys, "analyze", table_csv, "--sizes", "2,2,2", "--format", "json")
         assert code == 0
-        report = json.loads(out)
+        report = strict_json(out)
         assert report["q_tilde"] == pytest.approx(2 / 3, abs=1e-14)
         np.testing.assert_allclose(report["bias_k"], 0.0, atol=1e-12)
         assert report["gamma"]["verdict"] == "adjustment helps"
@@ -37,7 +71,7 @@ class TestAnalyze:
 
     def test_json_round_trip_exact(self, capsys, table_csv):
         code, out, _ = run_cli(capsys, "analyze", table_csv, "--sizes", "2,2,2", "--format", "json")
-        report = json.loads(out)
+        report = strict_json(out)
         pop, _ = normalize_z(load_population(table_csv))
         expected = theory_report(pop, GroupSizes(2, 2, 2), ("A", "C"))
         assert report["q_tilde"] == expected.q_tilde  # bit-exact round trip
@@ -87,7 +121,7 @@ class TestAnalyze:
             capsys, "analyze", str(path), "--sizes", "2,4,2", "--pair", "A,C", "--format", "json"
         )
         assert code == 0
-        report = json.loads(out)
+        report = strict_json(out)
         assert report["q"] == 0.0
         assert report["gamma"]["verdict"] == "adjustment neutral"
 
@@ -95,6 +129,12 @@ class TestAnalyze:
         monkeypatch.setenv("TRIARM_THREADS", "2")
         code, out, _ = run_cli(capsys, "analyze", table_csv, "--sizes", "2,2,2")
         assert code == 0
+
+    def test_threads_env_not_an_integer_exit_2(self, capsys, table_csv, monkeypatch):
+        monkeypatch.setenv("TRIARM_THREADS", "abc")
+        code, _, err = run_cli(capsys, "analyze", table_csv, "--sizes", "2,2,2")
+        assert code == 2
+        assert err.startswith("error: TRIARM_THREADS")
 
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "/nonexistent.csv", "--sizes", "2,2,2")
@@ -111,7 +151,7 @@ class TestAnalyze:
             "--format", "json",
         )
         assert code == 0
-        assert json.loads(out)["n"] == 12
+        assert strict_json(out)["n"] == 12
 
 
 class TestEnumerate:
@@ -125,7 +165,7 @@ class TestEnumerate:
         code, out, _ = run_cli(
             capsys, "enumerate", table_csv, "--sizes", "1,1,4", "--format", "json"
         )
-        report = json.loads(out)
+        report = strict_json(out)
         assert report["assignment_count"] == 30
         assert report["mode"] == "all"
 
@@ -195,12 +235,64 @@ class TestSimulate:
             "simulate", table_csv,
             "--sizes", "2,2,2", "--reps", "4000", "--seed", "3", "--format", "json",
         )
-        report = json.loads(out)
+        report = strict_json(out)
         section = report["nominal_vs_empirical"]["A-C"]
         assert set(section) == {"empirical_mr_var", "mean_nominal_var", "ratio", "empirical_itt_var"}
         assert section["ratio"] == pytest.approx(
             section["mean_nominal_var"] / section["empirical_mr_var"]
         )
+
+    def test_undefined_residual_variance_is_null(self, capsys, tmp_path):
+        # n = 4 leaves no residual degrees of freedom
+        path = write_population(
+            tmp_path, "a,b,c,z\n1,2,3,0.5\n2,3,1,-1\n0,1,2,2\n1,0,0,0.3\n"
+        )
+        code, out, _ = run_cli(
+            capsys, "simulate", path, "--sizes", "1,1,2", "--reps", "500", "--seed", "1",
+            "--format", "json",
+        )
+        assert code == 0
+        report = strict_json(out)
+        assert report["mr"]["mean_sigma_hat_sq"] is None
+        assert all(v is None for row in report["mean_nominal_cov"] for v in row)
+
+    def test_zero_response_variance_is_null(self, capsys, tmp_path):
+        # constant responses: the lead term never varies, so its
+        # skewness and kurtosis are undefined
+        path = write_population(
+            tmp_path, "a,b,c,z\n1,2,3,0\n1,2,3,1\n1,2,3,2\n1,2,3,3\n1,2,3,4\n1,2,3,5\n"
+        )
+        code, out, _ = run_cli(
+            capsys, "simulate", path, "--sizes", "2,2,2", "--reps", "1000", "--seed", "1",
+            "--format", "json",
+        )
+        assert code == 0
+        report = strict_json(out)
+        assert report["zeta"]["skewness"] == [None, None, None]
+        assert report["zeta"]["kurtosis"] == [None, None, None]
+
+    @pytest.mark.parametrize(
+        "body, flags",
+        [
+            # every assignment of three subjects to three groups is singular
+            ("1,2,3,0.5\n2,3,1,-1\n0,1,2,2\n", ("--sizes", "1,1,1")),
+            # not exactly collinear, but below the singularity threshold
+            (
+                "1,2,3,0\n2,3,1,0\n0,1,2,0\n3,1,2,0\n1,1,1,0\n2,2,0,1e-7\n",
+                ("--sizes", "2,2,2", "--normalize", "off"),
+            ),
+        ],
+        ids=["three-singletons", "near-collinear"],
+    )
+    def test_always_singular_design_exit_2(self, tmp_path, body, flags):
+        path = write_population(tmp_path, "a,b,c,z\n" + body)
+        result = run_cli_process(
+            "simulate", path, *flags, "--reps", "1000", "--seed", "1", "--format", "json"
+        )
+        assert result.returncode == 2
+        assert "error: singular design" in result.stderr
+        assert "fraction 1" in result.stderr
+        assert result.stdout == ""
 
 
 class TestReproduce:
@@ -208,14 +300,14 @@ class TestReproduce:
     def test_scenarios_pass(self, capsys, scenario):
         code, out, _ = run_cli(capsys, "reproduce", "--scenario", scenario, "--format", "json")
         assert code == 0
-        report = json.loads(out)
+        report = strict_json(out)
         assert report["passed"] is True
         assert report["discrepancy"] is False
 
     def test_table2_discrepancy_note(self, capsys):
         code, out, _ = run_cli(capsys, "reproduce", "--scenario", "table2", "--format", "json")
         assert code == 0
-        report = json.loads(out)
+        report = strict_json(out)
         assert report["passed"] is True
         assert report["discrepancy"] is True
         assert any("discrepancy" in note for note in report["notes"])

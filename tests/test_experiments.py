@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from triarm import (
     order_checks,
     prop1_moments,
 )
+from triarm.experiments import _Moments
 from triarm.scenarios import (
     conditional_constancy_population,
     curved_response_population,
@@ -178,6 +180,35 @@ class TestMonteCarlo:
         assert rows[0][0] == "replicate"
         assert len(rows) == 251
         assert mc.replicates == 250
+
+    def test_zero_variance_lead_term_gives_nan_quietly(self):
+        pop, _ = normalize_z(
+            Population([1.0] * 6, [2.0] * 6, [3.0] * 6, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            mc = monte_carlo(pop, GroupSizes(2, 2, 2), reps=1000, seed=1)
+        assert np.all(np.isnan(mc.zeta_skewness))
+        assert np.all(np.isnan(mc.zeta_kurtosis))
+
+
+class TestMomentsAccumulator:
+    # Tolerances sit 10-50x above the error measured in double precision.  With
+    # the offset, the inputs themselves carry eps * 1e4 absolute error;
+    # the raw-power-sum rebuild of the third moment misses by ~1e-3 there.
+    @pytest.mark.parametrize("offset, rtol", [(0.0, 1e-13), (1e4, 1e-9)])
+    def test_uneven_batches_match_two_pass(self, offset, rtol):
+        rng = np.random.default_rng(0)
+        x = rng.gamma(2.0, size=(1000, 3)) + offset
+        acc = _Moments(3)
+        for part in np.split(x, [1, 8, 8, 508]):  # includes an empty batch
+            acc.add(part)
+        d = x - x.mean(axis=0)
+        assert acc.count == 1000
+        np.testing.assert_allclose(acc.mean, x.mean(axis=0), rtol=1e-14)
+        np.testing.assert_allclose(acc.m2, d.T @ d, rtol=rtol)
+        np.testing.assert_allclose(acc.m3, (d**3).sum(axis=0), rtol=rtol)
+        np.testing.assert_allclose(acc.m4, (d**4).sum(axis=0), rtol=rtol)
 
 
 class TestPatternPopulations:

@@ -42,6 +42,12 @@ class TestLoad:
         np.testing.assert_array_equal(pop.a, [1, 2, 3])
         np.testing.assert_array_equal(pop.z, [1, -1, 0])
 
+    def test_byte_order_mark_accepted(self, tmp_path):
+        path = write_csv(tmp_path, "\ufeffa,b,c,z\n1,2,3,4\n5,6,7,8\n")
+        pop = load_population(path)
+        np.testing.assert_array_equal(pop.a, [1, 5])
+        np.testing.assert_array_equal(pop.z, [4, 8])
+
     def test_header_only_is_empty_body(self, tmp_path):
         with pytest.raises(PopulationFormatError, match="empty body"):
             load_population(write_csv(tmp_path, "a,b,c,z\n"))
