@@ -6,6 +6,13 @@ assignments uniformly, enumerates them exhaustively in lexicographic
 order, and turns an assignment plus a population into the observed
 response vector.
 
+Enumeration unranks: each batch is the contiguous rank range
+``[lo, lo + batch_size)`` of the lexicographic order, turned into label
+codes by vectorized multiset-permutation unranking in int64.  So the
+order is the plain lexicographic one, no batch depends on the one
+before, and enumeration is refused once the number of label sequences
+times n reaches 2**63.
+
 Randomness contract: generators are built on numpy's Philox bit
 generator (counter-based, splittable).  ``master_generator(seed)`` and
 ``worker_generator(seed, stream)`` produce the same streams on every
@@ -28,10 +35,10 @@ DEFAULT_ENUMERATION_LIMIT = 10**6
 
 
 class EnumerationLimitError(RuntimeError):
-    """Exhaustive enumeration would exceed the configured guard."""
+    """Exhaustive enumeration would exceed the configured guard or the int64 rank ceiling."""
 
-    def __init__(self, count, limit):
-        super().__init__(f"enumeration too large: {count} assignments exceed limit {limit}")
+    def __init__(self, count, limit, bound="limit"):
+        super().__init__(f"enumeration too large: {count} assignments exceed {bound} {limit}")
         self.count = count
         self.limit = limit
 
@@ -164,19 +171,35 @@ def assignment_count(sizes: GroupSizes, mode: str = "all") -> int:
     return total
 
 
-def _next_multiset_permutation(codes: list) -> bool:
-    # classic in-place next-permutation; keeps lexicographic order
-    i = len(codes) - 2
-    while i >= 0 and codes[i] >= codes[i + 1]:
-        i -= 1
-    if i < 0:
-        return False
-    j = len(codes) - 1
-    while codes[j] <= codes[i]:
-        j -= 1
-    codes[i], codes[j] = codes[j], codes[i]
-    codes[i + 1 :] = reversed(codes[i + 1 :])
-    return True
+def _unrank(sizes: GroupSizes, total: int, lo: int, hi: int) -> np.ndarray:
+    """Label codes of lexicographic ranks ``lo .. hi-1``, one row each.
+
+    Unranking of multiset permutations (Knuth, TAOCP 4A, 7.2.1.2): of the
+    ``left`` completions that remain after a prefix, ``left * n_A / m``
+    put A next and ``left * n_B / m`` put B next, where ``n_A``, ``n_B``
+    are the labels still to place and ``m`` the positions still open.
+    One pass per position picks A, B or C for every row at once.
+    """
+    n = sizes.n
+    rank = np.arange(lo, hi, dtype=np.int64)
+    left = np.full(hi - lo, total, dtype=np.int64)
+    n_a = np.full(hi - lo, sizes.n_a, dtype=np.int64)
+    n_b = np.full(hi - lo, sizes.n_b, dtype=np.int64)
+    codes = np.empty((hi - lo, n), dtype=np.int8)
+    for pos in range(n):
+        m = n - pos
+        with_a = left * n_a // m
+        with_b = left * n_b // m
+        with_ab = with_a + with_b
+        past_a = rank >= with_a
+        past_b = rank >= with_ab
+        codes[:, pos] = past_a
+        codes[:, pos] += past_b
+        rank -= np.where(past_b, with_ab, np.where(past_a, with_a, 0))
+        left = np.where(past_b, left - with_ab, np.where(past_a, with_b, with_a))
+        n_a -= ~past_a
+        n_b -= past_a & ~past_b
+    return codes
 
 
 def iter_code_batches(
@@ -187,28 +210,45 @@ def iter_code_batches(
 ) -> Iterator[np.ndarray]:
     """Yield enumerated assignments as (batch, n) int8 arrays.
 
-    Lexicographic over label sequences with A < B < C.  Mode
-    ``a-before-b`` (defined only for n_A == n_B) keeps the assignments
-    whose first A-labeled subject precedes the first B-labeled one;
-    swapping the A and B labels pairs each kept assignment with a
-    dropped one, so exactly half survive.
+    Lexicographic over label sequences with A < B < C; every batch but
+    the last holds ``batch_size`` rows.  Each chunk of ranks is unranked
+    directly, so no assignment list is ever built.  Mode ``a-before-b``
+    (defined only for n_A == n_B) keeps the assignments whose first
+    A-labeled subject precedes the first B-labeled one; swapping the A
+    and B labels pairs each kept assignment with a dropped one, so
+    exactly half survive.
+
+    Raises :class:`EnumerationLimitError` before the first batch when the
+    count exceeds ``limit``, or when the ranks walked (all label
+    sequences, twice the count in ``a-before-b``) times n reaches 2**63:
+    the rank arithmetic is int64.
     """
     count = assignment_count(sizes, mode)
+    total = assignment_count(sizes)
     if count > limit:
         raise EnumerationLimitError(count, limit)
-    current = [0] * sizes.n_a + [1] * sizes.n_b + [2] * sizes.n_c
-    keep_half = mode == "a-before-b"
-    batch: list = []
-    while True:
-        if not keep_half or current.index(0) < current.index(1):
-            batch.append(current.copy())
-            if len(batch) >= batch_size:
-                yield np.array(batch, dtype=np.int8)
-                batch = []
-        if not _next_multiset_permutation(current):
-            break
-    if batch:
-        yield np.array(batch, dtype=np.int8)
+    ceiling = (2**63 - 1) // sizes.n // (total // count)
+    if count > ceiling:
+        raise EnumerationLimitError(count, ceiling, "the int64 rank ceiling")
+    chunks = (
+        _unrank(sizes, total, lo, min(lo + batch_size, total)) for lo in range(0, total, batch_size)
+    )
+    if mode == "all":
+        yield from chunks
+        return
+    held, n_held = [], 0
+    for codes in chunks:
+        codes = codes[np.argmax(codes == 0, axis=1) < np.argmax(codes == 1, axis=1)]
+        held.append(codes)
+        n_held += len(codes)
+        if n_held >= batch_size:
+            rows = np.concatenate(held)
+            full = n_held - n_held % batch_size
+            for start in range(0, full, batch_size):
+                yield rows[start : start + batch_size]
+            held, n_held = [rows[full:]], n_held - full
+    if n_held:
+        yield np.concatenate(held)
 
 
 def enumerate_assignments(

@@ -33,6 +33,12 @@ from .theory import theory_report
 
 _PAIRS = (("A", "B"), ("A", "C"), ("B", "C"))
 
+#: ``simulate`` reports the nominal/empirical ``ratio`` as undefined when
+#: the empirical contrast standard deviation is at most this fraction of
+#: the largest absolute response: each estimate carries roundoff of about
+#: n * 2.2e-16 of that scale, so such a spread is roundoff, not sampling.
+RATIO_RTOL = 1e-10
+
 
 def _plain(obj):
     """Convert report values to JSON/CSV-friendly python containers.
@@ -287,6 +293,8 @@ def _cmd_simulate(args):
         dump_path=args.dump,
     )
     comparison = {}
+    scale = max(float(np.abs(y).max()) for y in (pop.a, pop.b, pop.c))
+    roundoff_var = (RATIO_RTOL * scale) ** 2
     for s, t in _PAIRS:
         si, ti = GROUP_CODES[s], GROUP_CODES[t]
         empirical = _contrast(summary.mr_cov, si, ti)
@@ -294,7 +302,7 @@ def _cmd_simulate(args):
         comparison[f"{s}-{t}"] = {
             "empirical_mr_var": empirical,
             "mean_nominal_var": nominal,
-            "ratio": nominal / empirical if empirical else float("nan"),
+            "ratio": nominal / empirical if empirical > roundoff_var else float("nan"),
             "empirical_itt_var": _contrast(summary.itt_cov, si, ti),
         }
     report = {

@@ -131,7 +131,11 @@ def _group_sum_regression(t, g, u, ysq, zsq, counts, n, want_nominal=False) -> d
     ef = u - (g * t / counts).sum(axis=1)
     q = ef / safe_f
     e_sq = ysq - (t * t / counts).sum(axis=1)
-    sigma_sq = (e_sq - q * q * f_sq) / (n - 4) if n > 4 else np.full(len(q), np.nan)
+    if n > 4:
+        # a residual sum of squares: clamp the roundoff of the subtraction at 0
+        sigma_sq = np.maximum(e_sq - q * q * f_sq, 0.0) / (n - 4)
+    else:
+        sigma_sq = np.full(len(q), np.nan)
     out = {
         "itt": ybar,
         "mr": ybar - q[:, None] * zbar,

@@ -101,7 +101,8 @@ def _process_in_order(jobs, compute, merge, threads: int) -> None:
     """Run ``compute`` over ``jobs`` and ``merge`` results in job order.
 
     The merge order never depends on ``threads``, which is what makes
-    engine output reproducible across worker counts.
+    engine output reproducible across worker counts.  When a job fails,
+    queued jobs are cancelled before the error propagates.
     """
     if threads <= 1:
         for job in jobs:
@@ -111,15 +112,19 @@ def _process_in_order(jobs, compute, merge, threads: int) -> None:
         pending = {}
         next_merge = 0
         next_submit = 0
-        for job in jobs:
-            pending[next_submit] = pool.submit(compute, job)
-            next_submit += 1
-            while len(pending) > 2 * threads:
+        try:
+            for job in jobs:
+                pending[next_submit] = pool.submit(compute, job)
+                next_submit += 1
+                while len(pending) > 2 * threads:
+                    merge(pending.pop(next_merge).result())
+                    next_merge += 1
+            while next_merge < next_submit:
                 merge(pending.pop(next_merge).result())
                 next_merge += 1
-        while next_merge < next_submit:
-            merge(pending.pop(next_merge).result())
-            next_merge += 1
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 @dataclass

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+import triarm.assignment
 from triarm import (
     Assignment,
     EnumerationLimitError,
@@ -16,6 +19,46 @@ from triarm import (
     random_assignment,
     worker_generator,
 )
+from triarm.assignment import _unrank, iter_code_batches
+
+
+def _next_multiset_permutation(codes: list) -> bool:
+    # classic in-place next-permutation; keeps lexicographic order
+    i = len(codes) - 2
+    while i >= 0 and codes[i] >= codes[i + 1]:
+        i -= 1
+    if i < 0:
+        return False
+    j = len(codes) - 1
+    while codes[j] <= codes[i]:
+        j -= 1
+    codes[i], codes[j] = codes[j], codes[i]
+    codes[i + 1 :] = reversed(codes[i + 1 :])
+    return True
+
+
+def reference_code_batches(sizes, mode, batch_size):
+    """The batches of ``iter_code_batches``, stepping one permutation at a time."""
+    current = [0] * sizes.n_a + [1] * sizes.n_b + [2] * sizes.n_c
+    batch = []
+    while True:
+        if mode == "all" or current.index(0) < current.index(1):
+            batch.append(current.copy())
+            if len(batch) == batch_size:
+                yield np.array(batch, dtype=np.int8)
+                batch = []
+        if not _next_multiset_permutation(current):
+            break
+    if batch:
+        yield np.array(batch, dtype=np.int8)
+
+
+def _small_cases(max_n):
+    for n_a, n_b, n_c in itertools.product(range(1, max_n - 1), repeat=3):
+        if n_a + n_b + n_c <= max_n:
+            yield GroupSizes(n_a, n_b, n_c), "all"
+            if n_a == n_b:
+                yield GroupSizes(n_a, n_b, n_c), "a-before-b"
 
 
 class TestGroupSizes:
@@ -102,6 +145,49 @@ class TestEnumeration:
             assert len(labels) == assignment_count(sizes)
             assert labels == sorted(labels)
             assert len(set(labels)) == len(labels)
+
+    # one-row batches cost a full unranking pass per row (8 s up to n = 9)
+    @pytest.mark.parametrize("batch_size, max_n", [(1, 7), (7, 9), (4096, 9)])
+    def test_unranking_matches_reference_loop(self, batch_size, max_n):
+        # every size triple up to max_n, in both modes: same batch
+        # boundaries, shapes, dtype and codes as stepping permutations
+        for sizes, mode in _small_cases(max_n):
+            expected = list(reference_code_batches(sizes, mode, batch_size))
+            got = list(iter_code_batches(sizes, mode, batch_size=batch_size))
+            assert [b.shape for b in got] == [b.shape for b in expected], (sizes, mode)
+            for g, e in zip(got, expected):
+                assert g.dtype == np.int8
+                np.testing.assert_array_equal(g, e)
+
+    @pytest.mark.parametrize("limit", [10**40, 10**60])
+    def test_int64_rank_ceiling_guard(self, limit, monkeypatch):
+        # 120!/(40!)^3 is about 1.2e55: beyond 10**40 the user limit
+        # trips, beyond 2**63 / 120 the int64 rank arithmetic would
+        sizes = GroupSizes(40, 40, 40)
+        unranked = []
+        monkeypatch.setattr(triarm.assignment, "_unrank", lambda *args: unranked.append(args))
+        with pytest.raises(EnumerationLimitError) as err:
+            next(iter_code_batches(sizes, limit=limit))
+        assert unranked == []
+        count, ceiling = assignment_count(sizes), (2**63 - 1) // 120
+        assert err.value.count == count
+        assert err.value.limit == (limit if limit < count else ceiling)
+        assert ("int64" in str(err.value)) == (limit > count)
+
+    def test_unranking_exact_just_below_int64_ceiling(self):
+        # count * n is 0.97 * 2**63 for (12, 14, 14) and 3.1 * 2**63 for
+        # (13, 14, 14).  Relabeling x -> 2 - x reverses lexicographic
+        # order, so the last ranks of a design are the first ranks of its
+        # mirror, read backwards.
+        sizes = GroupSizes(12, 14, 14)
+        total = assignment_count(sizes)
+        first = next(iter_code_batches(sizes, limit=total))
+        np.testing.assert_array_equal(first, next(reference_code_batches(sizes, "all", 4096)))
+        last = _unrank(sizes, total, total - 50, total)
+        mirror = next(reference_code_batches(GroupSizes(14, 14, 12), "all", 50))
+        np.testing.assert_array_equal(last, 2 - mirror[::-1])
+        with pytest.raises(EnumerationLimitError, match="int64"):
+            next(iter_code_batches(GroupSizes(13, 14, 14), limit=10**40))
 
     def test_a_before_b_subset(self):
         sizes = GroupSizes(1, 1, 4)

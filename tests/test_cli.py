@@ -271,6 +271,24 @@ class TestSimulate:
         assert report["zeta"]["skewness"] == [None, None, None]
         assert report["zeta"]["kurtosis"] == [None, None, None]
 
+    def test_roundoff_variance_gives_no_ratio(self, capsys, tmp_path):
+        # constant responses: the adjusted estimates vary by roundoff only
+        # (empirical contrast variance ~1e-34), so the residual variance
+        # must not go negative and no nominal/empirical ratio is defined
+        path = write_population(
+            tmp_path, "a,b,c,z\n1,2,3,0\n1,2,3,1\n1,2,3,2\n1,2,3,3\n1,2,3,4\n1,2,3,5\n"
+        )
+        code, out, _ = run_cli(
+            capsys, "simulate", path, "--sizes", "2,2,2", "--reps", "1000", "--seed", "1",
+            "--format", "json",
+        )
+        assert code == 0
+        report = strict_json(out)
+        assert report["mr"]["mean_sigma_hat_sq"] >= 0.0
+        for pair in report["nominal_vs_empirical"].values():
+            assert pair["mean_nominal_var"] >= 0.0
+            assert pair["ratio"] is None
+
     @pytest.mark.parametrize(
         "body, flags",
         [

@@ -13,6 +13,7 @@ from triarm import (
     mr_estimates,
     mr_via_normal_equations,
     nominal_covariance,
+    normalize_z,
     observed_response,
 )
 
@@ -221,6 +222,17 @@ class TestNominalCovariance:
         y = 2.0 * u - 1.0 * v + 0.5 * w + 3.0 * pop.z
         est = mr_estimates(pop.z, y, asg)
         assert est.sigma_hat_sq == pytest.approx(0.0, abs=1e-12)
+
+    def test_residual_variance_never_negative(self):
+        # constant responses fit exactly: ΣY² - Σt²/n_k - q²|f|² cancels
+        # to roundoff of either sign, and a sum of squares is clamped at 0
+        pop, _ = normalize_z(
+            Population([1.0] * 6, [2.0] * 6, [3.0] * 6, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+        )
+        codes = np.array([a.codes for a in enumerate_assignments(GroupSizes(2, 2, 2))])
+        out = BatchEvaluator(pop, GroupSizes(2, 2, 2)).evaluate_codes(codes, want_nominal=True)
+        assert np.all(out["sigma_hat_sq"] >= 0.0)
+        assert np.all(out["nominal_cov"][:, np.arange(4), np.arange(4)] >= 0.0)
 
     def test_orthogonality_identity(self):
         rng = np.random.default_rng(32)

@@ -1,9 +1,12 @@
 import csv
+import threading
+import time
 import warnings
 
 import numpy as np
 import pytest
 
+import triarm.experiments
 from triarm import (
     GroupSizes,
     Population,
@@ -20,7 +23,8 @@ from triarm import (
     order_checks,
     prop1_moments,
 )
-from triarm.experiments import _Moments
+from triarm.assignment import assignment_count
+from triarm.experiments import _Moments, _process_in_order
 from triarm.scenarios import (
     conditional_constancy_population,
     curved_response_population,
@@ -113,6 +117,45 @@ class TestExactEngine:
         assert len(rows) == 31
         # full-precision round trip of the first dumped adjusted estimate
         assert float(rows[1][4]) == summary.table.mr[0, 0]
+
+    @pytest.mark.parametrize("mode", ["all", "a-before-b"])
+    def test_enumerates_through_module_attribute(self, table_pop, monkeypatch, mode):
+        # per-layer timings rebind ``experiments.iter_code_batches``; an
+        # engine that stopped calling through it would time nothing
+        original = triarm.experiments.iter_code_batches
+        rows = []
+
+        def counting(*args, **kwargs):
+            for batch in original(*args, **kwargs):
+                rows.append(len(batch))
+                yield batch
+
+        monkeypatch.setattr(triarm.experiments, "iter_code_batches", counting)
+        sizes = GroupSizes(2, 2, 2)
+        summary = exact_distribution(table_pop, sizes, mode=mode)
+        assert rows and sum(rows) == summary.assignment_count == assignment_count(sizes, mode)
+
+
+class TestProcessInOrder:
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_failure_cancels_queued_jobs(self, threads):
+        # job 0 fails at once; the others hold their worker for a while,
+        # so by the time the failure is seen every worker is busy and the
+        # rest of the 2 * threads + 1 submitted jobs are still queued
+        started = []
+        lock = threading.Lock()
+
+        def compute(job):
+            with lock:
+                started.append(job)
+            if job == 0:
+                raise RuntimeError("job 0 failed")
+            time.sleep(0.5)
+            return job
+
+        with pytest.raises(RuntimeError, match="job 0 failed"):
+            _process_in_order(range(20), compute, lambda res: None, threads)
+        assert len(started) <= 1 + threads
 
 
 class TestSymmetryHelper:
