@@ -15,7 +15,6 @@ Monte Carlo engine, which gives up after :data:`MAX_REDRAW_ROUNDS`
 rounds on one batch.
 """
 
-import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -40,7 +39,11 @@ from .theory import (
     sigma_matrix,
 )
 
-_GROUP_LETTERS = np.array(["A", "B", "C"], dtype="U1")
+
+def _labels(codes: np.ndarray) -> list:
+    """Label strings (``"ABCC..."``) of a batch of group-code rows."""
+    letters = np.ascontiguousarray(np.frombuffer(b"ABC", dtype=np.uint8)[codes])
+    return letters.view(f"S{codes.shape[1]}")[:, 0].astype(str).tolist()
 
 
 #: Redraw rounds a Monte Carlo batch may spend on singular draws.  At a
@@ -163,20 +166,35 @@ class ExactSummary:
 
 def _open_dump(path, first_column):
     fh = open(path, "w", newline="", encoding="utf-8")
-    writer = csv.writer(fh)
-    writer.writerow(
-        [first_column, "itt_a", "itt_b", "itt_c", "mr_a", "mr_b", "mr_c", "q_hat", "sigma_hat_sq"]
-    )
-    return fh, writer
+    fh.write(f"{first_column},itt_a,itt_b,itt_c,mr_a,mr_b,mr_c,q_hat,sigma_hat_sq\r\n")
+    return fh
 
 
-def _dump_rows(writer, keys, res):
-    for i, key in enumerate(keys):
-        writer.writerow(
-            [key]
-            + [repr(float(v)) for v in res["itt"][i]]
-            + [repr(float(v)) for v in res["mr"][i]]
-            + [repr(float(res["q_hat"][i])), repr(float(res["sigma_hat_sq"][i]))]
+#: Dump rows formatted per write.  The text and Python floats of a whole
+#: 4096-row batch raised peak memory by about 3 MB; 64-row chunks keep a
+#: dump's peak at that of writing row by row, for a few percent of speed.
+_DUMP_CHUNK_ROWS = 64
+
+
+def _dump_rows(fh, keys, res):
+    """Write one batch of dump rows, keyed by the sequence ``keys``.
+
+    Values are written as their shortest round-trip ``repr`` and rows end
+    in ``\\r\\n``: the bytes :class:`csv.writer` writes for the same cells.
+    """
+    for start in range(0, len(keys), _DUMP_CHUNK_ROWS):
+        chunk = slice(start, start + _DUMP_CHUNK_ROWS)
+        columns = np.column_stack(
+            [res["itt"][chunk], res["mr"][chunk], res["q_hat"][chunk], res["sigma_hat_sq"][chunk]]
+        )
+        rows = zip(keys[chunk], *columns.T.tolist())
+        fh.write(
+            "".join(
+                [
+                    f"{key},{i_a!r},{i_b!r},{i_c!r},{m_a!r},{m_b!r},{m_c!r},{q!r},{s2!r}\r\n"
+                    for key, i_a, i_b, i_c, m_a, m_b, m_c, q, s2 in rows
+                ]
+            )
         )
 
 
@@ -210,7 +228,7 @@ def exact_distribution(
         mr.add(res["mr"][valid] - truth)
         q_hat.add(res["q_hat"][valid, None])
         if dump is not None:
-            _dump_rows(dump[1], ["".join(row) for row in _GROUP_LETTERS[res["codes"]]], res)
+            _dump_rows(dump, _labels(res["codes"]), res)
         if table_parts is not None:
             table_parts.append(res)
 
@@ -218,7 +236,7 @@ def exact_distribution(
         _process_in_order(iter_code_batches(sizes, mode, limit), compute, merge, threads)
     finally:
         if dump is not None:
-            dump[0].close()
+            dump.close()
 
     count = itt.count
     if count == 0:
@@ -226,7 +244,7 @@ def exact_distribution(
     table = None
     if table_parts is not None:
         table = AssignmentTable(
-            labels=["".join(row) for part in table_parts for row in _GROUP_LETTERS[part["codes"]]],
+            labels=[label for part in table_parts for label in _labels(part["codes"])],
             itt=np.concatenate([p["itt"] for p in table_parts]),
             mr=np.concatenate([p["mr"] for p in table_parts]),
             q_hat=np.concatenate([p["q_hat"] for p in table_parts]),
@@ -337,30 +355,39 @@ def monte_carlo(
     dump = _open_dump(dump_path, "replicate") if dump_path else None
 
     base_row = np.arange(n, dtype=np.int64)
+    # Indices of failed batches.  A batch after one of them is never merged
+    # (the run raises the earlier batch's error first), so it stops early.
+    failed = []
 
     def compute(job):
         index, size = job
         rng = worker_generator(seed, index)
-        idx = np.tile(base_row, (size, 1))
-        rng.permuted(idx, axis=1, out=idx)
-        res = evaluator.evaluate_index(idx, want_nominal=True)
-        redraws = 0
-        bad = np.flatnonzero(~res["valid"])
-        for _ in range(MAX_REDRAW_ROUNDS):
+        res = None
+        drawn = 0
+        bad = np.arange(size)
+        # round 0 draws the batch, later rounds redraw its singular rows
+        for _ in range(1 + MAX_REDRAW_ROUNDS):
             if bad.size == 0:
                 break
-            redraws += int(bad.size)
-            sub = np.tile(base_row, (bad.size, 1))
-            rng.permuted(sub, axis=1, out=sub)
-            patch = evaluator.evaluate_index(sub, want_nominal=True)
-            for key, arr in patch.items():
-                res[key][bad] = arr
+            if any(i < index for i in failed):
+                raise SingularDesignError(f"batch {index} stopped: an earlier batch failed")
+            idx = np.tile(base_row, (bad.size, 1))
+            rng.permuted(idx, axis=1, out=idx)
+            drawn += int(bad.size)
+            patch = evaluator.evaluate_index(idx, want_nominal=True)
+            if res is None:
+                res = patch
+            else:
+                for key, arr in patch.items():
+                    res[key][bad] = arr
             bad = bad[~patch["valid"]]
+        redraws = drawn - size
         if bad.size:
+            failed.append(index)
             singular = redraws + int(bad.size)
             raise SingularDesignError(
-                f"singular design: {singular} of {size + redraws} draws in batch {index} were "
-                f"singular (fraction {singular / (size + redraws):.3g}) after {MAX_REDRAW_ROUNDS} rounds"
+                f"singular design: {singular} of {drawn} draws in batch {index} were "
+                f"singular (fraction {singular / drawn:.3g}) after {MAX_REDRAW_ROUNDS} rounds"
             )
         res["redraws"] = redraws
         return res
@@ -375,7 +402,7 @@ def monte_carlo(
         nominal.add(res["nominal_cov"].reshape(-1, 16))
         state["max_dev"] = max(state["max_dev"], float(np.abs(res["sum_az_a"] - az_mean).max()))
         if dump is not None:
-            _dump_rows(dump[1], range(state["written"], state["written"] + len(res["q_hat"])), res)
+            _dump_rows(dump, range(state["written"], state["written"] + len(res["q_hat"])), res)
             state["written"] += len(res["q_hat"])
 
     jobs = list(enumerate(_batch_sizes(reps, n, batch_size)))
@@ -383,7 +410,7 @@ def monte_carlo(
         _process_in_order(jobs, compute, merge, threads)
     finally:
         if dump is not None:
-            dump[0].close()
+            dump.close()
 
     itt_cov = itt.m2 / (reps - 1)
     mr_cov = mr.m2 / (reps - 1)

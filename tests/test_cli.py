@@ -192,8 +192,39 @@ class TestEnumerate:
         assert rows[0][0] == "assignment"
         assert len(rows) == 31
 
+    def test_dump_byte_identical_across_threads(self, capsys, tmp_path):
+        # (4, 4, 3) has 11,550 assignments: three exact-engine batches
+        rng = np.random.default_rng(5)
+        rows = [",".join(map(repr, row)) for row in rng.uniform(-3, 3, (11, 4)).tolist()]
+        path = write_population(tmp_path, "\n".join(["a,b,c,z"] + rows) + "\n")
+        dumps = set()
+        for threads in ("1", "2", "3"):
+            dump = tmp_path / f"rows-{threads}.csv"
+            code, _, _ = run_cli(
+                capsys, "enumerate", path, "--sizes", "4,4,3", "--threads", threads,
+                "--dump", str(dump),
+            )
+            assert code == 0
+            dumps.add(dump.read_bytes())
+        assert len(dumps) == 1
+        assert dumps.pop().count(b"\r\n") == 1 + 11_550
+
 
 class TestSimulate:
+    def test_dump_byte_identical_across_threads(self, capsys, table_csv, tmp_path):
+        # 10,000 replicates at n = 6 make three Monte Carlo batches
+        dumps = set()
+        for threads in ("1", "2", "3"):
+            dump = tmp_path / f"reps-{threads}.csv"
+            code, _, _ = run_cli(
+                capsys, "simulate", table_csv, "--sizes", "2,2,2", "--reps", "10000",
+                "--seed", "7", "--threads", threads, "--dump", str(dump),
+            )
+            assert code == 0
+            dumps.add(dump.read_bytes())
+        assert len(dumps) == 1
+        assert dumps.pop().count(b"\r\n") == 1 + 10_000
+
     def test_byte_identical_across_threads_and_reruns(self, capsys, table_csv):
         outputs = set()
         for threads in ("1", "2", "3", "1"):

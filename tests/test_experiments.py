@@ -24,6 +24,7 @@ from triarm import (
     prop1_moments,
 )
 from triarm.assignment import assignment_count
+from triarm.estimators import BatchEvaluator
 from triarm.experiments import _Moments, _process_in_order
 from triarm.scenarios import (
     conditional_constancy_population,
@@ -33,6 +34,50 @@ from triarm.scenarios import (
 )
 
 from conftest import contrast_var
+
+
+def reference_dump(path, first_column, batches):
+    """The dump of ``batches``, written row by row by ``csv.writer``.
+
+    ``batches`` are the result dicts the engine dumped, in order.  Exact
+    rows are keyed by their label sequence, Monte Carlo rows by replicate
+    index; every value is written as ``repr(float(v))``.
+    """
+    letters = np.array(["A", "B", "C"])
+    written = 0
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            [first_column, "itt_a", "itt_b", "itt_c", "mr_a", "mr_b", "mr_c", "q_hat", "sigma_hat_sq"]
+        )
+        for res in batches:
+            rows = len(res["q_hat"])
+            if "codes" in res:
+                keys = ["".join(row) for row in letters[res["codes"]]]
+            else:
+                keys = range(written, written + rows)
+            written += rows
+            for i, key in enumerate(keys):
+                writer.writerow(
+                    [key]
+                    + [repr(float(v)) for v in res["itt"][i]]
+                    + [repr(float(v)) for v in res["mr"][i]]
+                    + [repr(float(res["q_hat"][i])), repr(float(res["sigma_hat_sq"][i]))]
+                )
+
+
+@pytest.fixture()
+def dumped_batches(monkeypatch):
+    """Copies of the batches the engines pass to ``experiments._dump_rows``."""
+    original = triarm.experiments._dump_rows
+    batches = []
+
+    def recording(fh, keys, res):
+        batches.append({key: np.copy(value) for key, value in res.items()})
+        return original(fh, keys, res)
+
+    monkeypatch.setattr(triarm.experiments, "_dump_rows", recording)
+    return batches
 
 
 class TestExactEngine:
@@ -136,6 +181,54 @@ class TestExactEngine:
         assert rows and sum(rows) == summary.assignment_count == assignment_count(sizes, mode)
 
 
+class TestDumpBytes:
+    # the dump is formatted many rows at a time; its bytes must stay those
+    # of the row-by-row csv.writer reference
+    @pytest.mark.parametrize("mode", ["all", "a-before-b"])
+    def test_exact_dump_matches_reference(self, tmp_path, dumped_batches, mode):
+        rng = np.random.default_rng(4)
+        pop, _ = normalize_z(Population(*rng.uniform(-3, 3, size=(4, 11))))
+        path = tmp_path / "dump.csv"
+        summary = exact_distribution(
+            pop, GroupSizes(4, 4, 3), mode=mode, keep_table=True, dump_path=path
+        )
+        reference = tmp_path / "reference.csv"
+        reference_dump(reference, "assignment", dumped_batches)
+        assert len(dumped_batches) > 1
+        assert path.read_bytes() == reference.read_bytes()
+        with open(reference, newline="") as fh:
+            keys = [row[0] for row in csv.reader(fh)][1:]
+        assert summary.table.labels == keys
+        assert len(keys) == summary.assignment_count
+
+    def test_singular_rows_dump_nan(self, tmp_path, dumped_batches):
+        # z repeats 0, 1, 2 in both halves: some pairs make the design singular
+        pop = Population(
+            [1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+            [2.0, 1.0, 0.0, 3.0, 5.0, 4.0],
+            [0.5, 1.5, 3.0, 2.0, 1.0, 0.0],
+            [0.0, 1.0, 2.0, 0.0, 1.0, 2.0],
+        )
+        path = tmp_path / "dump.csv"
+        summary = exact_distribution(pop, GroupSizes(2, 2, 2), mode="a-before-b", dump_path=path)
+        reference_dump(tmp_path / "reference.csv", "assignment", dumped_batches)
+        assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        lines = path.read_text().splitlines()
+        nan_rows = [line for line in lines if line.endswith(",nan,nan,nan,nan,nan")]
+        assert summary.singular_count > 0
+        assert len(nan_rows) == summary.singular_count
+
+    @pytest.mark.filterwarnings("ignore:q_tilde")
+    def test_monte_carlo_dump_matches_reference(self, table_pop, tmp_path, dumped_batches):
+        path = tmp_path / "mc.csv"
+        monte_carlo(
+            table_pop, GroupSizes(2, 2, 2), reps=1000, seed=3, batch_size=300, dump_path=path
+        )
+        reference_dump(tmp_path / "reference.csv", "replicate", dumped_batches)
+        assert len(dumped_batches) == 4
+        assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
 class TestProcessInOrder:
     @pytest.mark.parametrize("threads", [2, 3])
     def test_failure_cancels_queued_jobs(self, threads):
@@ -223,6 +316,42 @@ class TestMonteCarlo:
         assert rows[0][0] == "replicate"
         assert len(rows) == 251
         assert mc.replicates == 250
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_failure_stops_running_batches(self, monkeypatch, threads):
+        # Every draw of three singletons is singular, so every batch fails
+        # after MAX_REDRAW_ROUNDS rounds.  Batch 0 evaluates at full speed,
+        # the others slowly, so batch 0 fails first while they still run;
+        # each may finish the round it is in, and no batch may start another.
+        current = threading.local()
+        events = []
+        make_generator = triarm.experiments.worker_generator
+        evaluate_index = BatchEvaluator.evaluate_index
+
+        def generator(seed, index):
+            current.batch = index
+            return make_generator(seed, index)
+
+        def slow_after_batch_0(self, idx, **kwargs):
+            events.append(("evaluate", current.batch))
+            if current.batch:
+                time.sleep(0.002)
+            return evaluate_index(self, idx, **kwargs)
+
+        class RecordedError(SingularDesignError):
+            def __init__(self, message):
+                events.append(("failed", current.batch))
+                super().__init__(message)
+
+        monkeypatch.setattr(triarm.experiments, "worker_generator", generator)
+        monkeypatch.setattr(BatchEvaluator, "evaluate_index", slow_after_batch_0)
+        monkeypatch.setattr(triarm.experiments, "SingularDesignError", RecordedError)
+        pop = Population([1.0, 2.0, 0.0], [2.0, 3.0, 1.0], [3.0, 1.0, 2.0], [0.5, -1.0, 2.0])
+        with pytest.raises(SingularDesignError, match="in batch 0 were singular"):
+            monte_carlo(pop, GroupSizes(1, 1, 1), reps=160, seed=1, threads=threads, batch_size=8)
+        assert events.count(("evaluate", 0)) == 1 + triarm.experiments.MAX_REDRAW_ROUNDS
+        after = events[events.index(("failed", 0)) :]
+        assert sum(kind == "evaluate" for kind, _ in after) <= threads - 1
 
     def test_zero_variance_lead_term_gives_nan_quietly(self):
         pop, _ = normalize_z(
