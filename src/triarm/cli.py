@@ -182,9 +182,9 @@ def _default_threads() -> int:
 
 
 def _prepare_population(args):
-    pop = load_population(args.population)
-    if args.replicate > 1:
-        pop = replicate(pop, args.replicate)
+    if args.replicate < 1:
+        raise ValueError(f"--replicate must be at least 1, got {args.replicate}")
+    pop = replicate(load_population(args.population), args.replicate)
     sizes = _parse_sizes(args.sizes)
     sizes.validate_for(pop.n)
     notes = []
@@ -377,7 +377,11 @@ def _add_common(parser, population=True, sizes=True):
         help="covariate normalization policy (default auto)",
     )
     parser.add_argument(
-        "--replicate", type=int, default=1, metavar="M", help="duplicate every subject M times first"
+        "--replicate",
+        type=int,
+        default=1,
+        metavar="M",
+        help="duplicate every subject M >= 1 times first (default 1)",
     )
     parser.add_argument(
         "--format", choices=("table", "csv", "json"), default="table", help="output format"

@@ -16,7 +16,9 @@ rounds on one batch.
 """
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,10 +166,42 @@ class ExactSummary:
     table: AssignmentTable | None = None
 
 
+@contextmanager
 def _open_dump(path, first_column):
-    fh = open(path, "w", newline="", encoding="utf-8")
-    fh.write(f"{first_column},itt_a,itt_b,itt_c,mr_a,mr_b,mr_c,q_hat,sigma_hat_sq\r\n")
-    return fh
+    """Dump file for the block that follows; None when ``path`` is empty.
+
+    Rows go to a new temporary file beside ``path``, which replaces
+    ``path`` only when the block completes.  A block that raises removes
+    the temporary file, so a failed run leaves any earlier file at
+    ``path`` as it was and never a partial dump.  A symbolic link is
+    followed, so its target is replaced and the link kept.
+    """
+    if not path:
+        yield None
+        return
+    header = f"{first_column},itt_a,itt_b,itt_c,mr_a,mr_b,mr_c,q_hat,sigma_hat_sq\r\n"
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        # a device or pipe such as /dev/null is written to, never replaced
+        with open(target, "w", newline="", encoding="utf-8") as fh:
+            fh.write(header)
+            yield fh
+        return
+    head, tail = os.path.split(target)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
+    try:
+        fh = open(tmp, "x", newline="", encoding="utf-8")
+    except OSError as exc:
+        exc.filename = os.fspath(path)  # name the file the caller asked for
+        raise
+    try:
+        with fh:
+            fh.write(header)
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 #: Dump rows formatted per write.  The text and Python floats of a whole
@@ -215,7 +249,6 @@ def exact_distribution(
 
     itt, mr, q_hat = _Moments(3), _Moments(3), _Moments(1)
     table_parts = [] if keep_table else None
-    dump = _open_dump(dump_path, "assignment") if dump_path else None
 
     def compute(codes):
         res = evaluator.evaluate_codes(codes)
@@ -232,15 +265,11 @@ def exact_distribution(
         if table_parts is not None:
             table_parts.append(res)
 
-    try:
+    with _open_dump(dump_path, "assignment") as dump:
         _process_in_order(iter_code_batches(sizes, mode, limit), compute, merge, threads)
-    finally:
-        if dump is not None:
-            dump.close()
-
-    count = itt.count
-    if count == 0:
-        raise SingularDesignError("all assignments are singular")
+        count = itt.count
+        if count == 0:
+            raise SingularDesignError("all assignments are singular")
     table = None
     if table_parts is not None:
         table = AssignmentTable(
@@ -352,7 +381,6 @@ def monte_carlo(
     itt, mr, zeta = _Moments(3), _Moments(3), _Moments(3)
     q_hat, sigma_hat_sq, nominal = _Moments(1), _Moments(1), _Moments(16)
     state = {"redraws": 0, "max_dev": 0.0, "written": 0}
-    dump = _open_dump(dump_path, "replicate") if dump_path else None
 
     base_row = np.arange(n, dtype=np.int64)
     # Indices of failed batches.  A batch after one of them is never merged
@@ -406,11 +434,8 @@ def monte_carlo(
             state["written"] += len(res["q_hat"])
 
     jobs = list(enumerate(_batch_sizes(reps, n, batch_size)))
-    try:
+    with _open_dump(dump_path, "replicate") as dump:
         _process_in_order(jobs, compute, merge, threads)
-    finally:
-        if dump is not None:
-            dump.close()
 
     itt_cov = itt.m2 / (reps - 1)
     mr_cov = mr.m2 / (reps - 1)

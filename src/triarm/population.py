@@ -11,7 +11,9 @@ under that convention.
 """
 
 import csv
+import functools
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +56,9 @@ class Population:
     """Potential responses ``a``, ``b``, ``c`` and covariate ``z``.
 
     All four sequences have the same length and finite entries.  Arrays
-    are stored read-only, so instances are safe to share across threads.
+    are stored read-only, so instances are safe to share across threads,
+    and the moments computed from them are computed once and kept (see
+    :func:`moment_set`).
     """
 
     a: np.ndarray
@@ -77,6 +81,12 @@ class Population:
         if name not in VARIABLES:
             raise ValueError(f"unknown variable {name!r}; expected one of {VARIABLES}")
         return getattr(self, name)
+
+    @functools.cached_property
+    def _moments(self) -> "MomentSet":
+        # cached_property writes the instance __dict__, which a frozen
+        # dataclass allows; the arrays it is computed from never change
+        return _compute_moment_set(self)
 
 
 @dataclass(frozen=True)
@@ -106,34 +116,59 @@ class MomentSet:
 
 
 def _fsum_mean(values: np.ndarray) -> float:
-    return math.fsum(values) / values.size
+    # fsum of a list is the same correctly rounded sum, and faster than
+    # iterating over numpy scalars
+    return math.fsum(values.tolist()) / values.size
 
 
 def _fsum_cov(x: np.ndarray, mx: float, y: np.ndarray, my: float) -> float:
-    return math.fsum((x - mx) * (y - my)) / x.size
+    return math.fsum(((x - mx) * (y - my)).tolist()) / x.size
 
 
-def moment_set(pop: Population) -> MomentSet:
-    """All first, second and fourth-absolute moments of a population.
+def _product_covariances(responses, z: np.ndarray, mz: float) -> np.ndarray:
+    """cov(xz, z) for each response x, given the mean ``mz`` of ``z``."""
+    out = np.empty(len(responses))
+    for k, x in enumerate(responses):
+        xz = x * z
+        out[k] = _fsum_cov(xz, _fsum_mean(xz), z, mz)
+    return out
 
-    Sums are exact (``math.fsum``), so the results are correctly rounded
-    regardless of population size.
-    """
+
+def _compute_moment_set(pop: Population) -> MomentSet:
     columns = [pop.variable(name) for name in VARIABLES]
     means = np.array([_fsum_mean(x) for x in columns])
     cov = np.empty((4, 4))
     for i in range(4):
         for j in range(i, 4):
             cov[i, j] = cov[j, i] = _fsum_cov(columns[i], means[i], columns[j], means[j])
-    mz = means[VARIABLES.index("z")]
-    prod_cov = np.empty(3)
-    for k, x in enumerate((pop.a, pop.b, pop.c)):
-        xz = x * pop.z
-        prod_cov[k] = _fsum_cov(xz, _fsum_mean(xz), pop.z, mz)
+    prod_cov = _product_covariances(columns[:3], pop.z, means[3])
     fourth = np.array([_fsum_mean(np.abs(x) ** 4) for x in columns])
     for arr in (means, cov, prod_cov, fourth):
         arr.setflags(write=False)
     return MomentSet(means, cov, prod_cov, fourth)
+
+
+def moment_set(pop: Population) -> MomentSet:
+    """All first, second and fourth-absolute moments of a population.
+
+    Sums are exact (``math.fsum``), so the results are correctly rounded
+    regardless of population size.  They are computed on the first call
+    for a population and the same read-only :class:`MomentSet` is
+    returned after that.
+    """
+    return pop._moments
+
+
+def centered_product_covariances(pop: Population, means) -> np.ndarray:
+    """cov(xz, z) for each response x centered at its mean.
+
+    ``means`` are the population's means ordered like :data:`VARIABLES`
+    (``moment_set(pop).means``).  The result equals the product
+    covariances of the :func:`center_responses` population bit for bit,
+    without building that population or its other moments.
+    """
+    responses = [x - m for x, m in zip((pop.a, pop.b, pop.c), means[:3])]
+    return _product_covariances(responses, pop.z, means[3])
 
 
 @dataclass(frozen=True)
@@ -154,7 +189,7 @@ def normalize_z(pop: Population) -> tuple[Population, ZNormalization]:
     """
     shift = _fsum_mean(pop.z)
     centered = pop.z - shift
-    scale = math.sqrt(math.fsum(centered * centered) / pop.n)
+    scale = math.sqrt(_fsum_mean(centered * centered))
     rms_raw = math.sqrt(_fsum_mean(pop.z * pop.z))
     if scale <= 1e-12 * max(rms_raw, 1.0):
         raise ValueError("zero variance covariate")
@@ -261,34 +296,54 @@ def load_population(path) -> Population:
             if required not in names:
                 raise PopulationFormatError(f"missing column {required!r}", column=required)
 
-        columns = {name: [] for name in VARIABLES}
+        width = len(names)
+        values = array("d")
         row_index = 0
         for row in reader:
+            # fast path: a full row of finite numbers; float() strips the
+            # same whitespace as str.strip()
+            if len(row) == width:
+                try:
+                    cells = list(map(float, row))
+                except ValueError:
+                    cells = None
+                if cells is not None and all(map(math.isfinite, cells)):
+                    row_index += 1
+                    values.extend(cells)
+                    continue
             if not row or all(not cell.strip() for cell in row):
                 continue
             row_index += 1
-            if len(row) != len(names):
-                raise PopulationFormatError(
-                    f"row {row_index}: expected {len(names)} cells, found {len(row)}",
-                    row=row_index,
-                )
-            for name, cell in zip(names, row):
-                text = cell.strip()
-                try:
-                    value = float(text)
-                except ValueError:
-                    raise PopulationFormatError(
-                        f"row {row_index}, column {name!r}: not a number: {text!r}",
-                        row=row_index,
-                        column=name,
-                    ) from None
-                if not math.isfinite(value):
-                    raise PopulationFormatError(
-                        f"row {row_index}, column {name!r}: non-finite value {text!r}",
-                        row=row_index,
-                        column=name,
-                    )
-                columns[name].append(value)
+            values.extend(_parse_row(row, names, row_index))
         if row_index == 0:
             raise PopulationFormatError("empty body")
-    return Population(*(columns[name] for name in VARIABLES))
+    table = np.frombuffer(values, dtype=np.float64).reshape(row_index, width)
+    return Population(*(table[:, names.index(name)] for name in VARIABLES))
+
+
+def _parse_row(row, names, row_index) -> list:
+    """Cell-by-cell parse of one body row, raising on the first bad cell."""
+    if len(row) != len(names):
+        raise PopulationFormatError(
+            f"row {row_index}: expected {len(names)} cells, found {len(row)}",
+            row=row_index,
+        )
+    out = []
+    for name, cell in zip(names, row):
+        text = cell.strip()
+        try:
+            value = float(text)
+        except ValueError:
+            raise PopulationFormatError(
+                f"row {row_index}, column {name!r}: not a number: {text!r}",
+                row=row_index,
+                column=name,
+            ) from None
+        if not math.isfinite(value):
+            raise PopulationFormatError(
+                f"row {row_index}, column {name!r}: non-finite value {text!r}",
+                row=row_index,
+                column=name,
+            )
+        out.append(value)
+    return out

@@ -16,7 +16,7 @@ from .assignment import GroupSizes, _check_group
 from .population import (
     MomentSet,
     Population,
-    center_responses,
+    centered_product_covariances,
     is_normalized_z,
     moment_set,
 )
@@ -99,7 +99,7 @@ def q_tilde(pop: Population, sizes: GroupSizes) -> float:
     """Fraction-weighted average of the raw response-covariate products."""
     sizes.validate_for(pop.n)
     _warn_if_unnormalized(pop, "q_tilde")
-    cross = [math.fsum(x * pop.z) / pop.n for x in (pop.a, pop.b, pop.c)]
+    cross = [math.fsum((x * pop.z).tolist()) / pop.n for x in (pop.a, pop.b, pop.c)]
     return float(np.dot(sizes.fractions(), cross))
 
 
@@ -114,9 +114,8 @@ def bias_k(pop: Population, sizes: GroupSizes, center: bool = True) -> np.ndarra
     """
     sizes.validate_for(pop.n)
     _warn_if_unnormalized(pop, "bias_k")
-    if center:
-        pop, _ = center_responses(pop)
-    prod_cov = moment_set(pop).product_covariances
+    ms = moment_set(pop)
+    prod_cov = centered_product_covariances(pop, ms.means) if center else ms.product_covariances
     weighted = float(np.dot(sizes.fractions(), prod_cov))
     out = prod_cov - weighted
     out.setflags(write=False)

@@ -2,8 +2,10 @@ import csv
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -152,6 +154,107 @@ class TestAnalyze:
         )
         assert code == 0
         assert strict_json(out)["n"] == 12
+
+    @pytest.mark.parametrize("command", ["analyze", "enumerate", "simulate"])
+    @pytest.mark.parametrize("factor", ["0", "-2"])
+    def test_replicate_below_one_exit_2(self, capsys, table_csv, command, factor):
+        extra = ("--reps", "100", "--seed", "1") if command == "simulate" else ()
+        code, out, err = run_cli(
+            capsys, command, table_csv, "--sizes", "2,2,2", "--replicate", factor, *extra
+        )
+        assert code == 2
+        assert out == ""
+        assert f"--replicate must be at least 1, got {factor}" in err
+
+
+class TestDumpTarget:
+    """FILE appears only on success; a failed run keeps an earlier file."""
+
+    RUNS = {
+        # 30 rows at (10,10,10) trip the enumeration limit: exit 3
+        "enumerate-limit": (
+            "\n".join(["a,b,c,z"] + [f"{i},{i % 7},{i % 5},{i % 3}" for i in range(30)]),
+            ("enumerate", "--sizes", "10,10,10"),
+            3,
+        ),
+        # every assignment of three singletons is singular: exit 2
+        "simulate-singular": (
+            "a,b,c,z\n1,2,3,0.5\n2,3,1,-1\n0,1,2,2",
+            ("simulate", "--sizes", "1,1,1", "--reps", "1000", "--seed", "1"),
+            2,
+        ),
+        "enumerate-singular": (
+            "a,b,c,z\n1,2,3,0.5\n2,3,1,-1\n0,1,2,2",
+            ("enumerate", "--sizes", "1,1,1"),
+            2,
+        ),
+    }
+
+    @pytest.mark.parametrize("earlier", [b"earlier dump\r\n", None], ids=["earlier", "none"])
+    @pytest.mark.parametrize("run", list(RUNS))
+    def test_failed_run_keeps_file(self, capsys, tmp_path, run, earlier):
+        body, (command, *flags), exit_code = self.RUNS[run]
+        path = write_population(tmp_path, body + "\n")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        dump = out_dir / "rows.csv"
+        if earlier is not None:
+            dump.write_bytes(earlier)
+        code, out, err = run_cli(capsys, command, path, *flags, "--dump", str(dump))
+        assert code == exit_code
+        assert out == ""
+        assert "error:" in err
+        left = sorted(p.name for p in out_dir.iterdir())
+        assert left == ([] if earlier is None else ["rows.csv"])
+        if earlier is not None:
+            assert dump.read_bytes() == earlier
+
+    def test_success_replaces_earlier_file(self, capsys, table_csv, tmp_path):
+        dump = tmp_path / "rows.csv"
+        dump.write_bytes(b"earlier dump\r\n")
+        code, _, _ = run_cli(
+            capsys, "enumerate", table_csv, "--sizes", "1,1,4", "--dump", str(dump)
+        )
+        assert code == 0
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []
+        assert dump.read_bytes().startswith(b"assignment,itt_a,")
+        assert dump.read_bytes().count(b"\r\n") == 31
+
+    def test_symlink_target_replaced_link_kept(self, capsys, table_csv, tmp_path):
+        (tmp_path / "real").mkdir()
+        link = tmp_path / "rows.csv"
+        link.symlink_to(tmp_path / "real" / "rows.csv")
+        code, _, _ = run_cli(
+            capsys, "enumerate", table_csv, "--sizes", "1,1,4", "--dump", str(link)
+        )
+        assert code == 0
+        assert link.is_symlink()
+        assert (tmp_path / "real" / "rows.csv").read_bytes().count(b"\r\n") == 31
+
+    def test_pipe_written_not_replaced(self, capsys, table_csv, tmp_path):
+        # a device or pipe (say /dev/null) must never be renamed over
+        fifo = tmp_path / "rows.pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        code, _, _ = run_cli(
+            capsys, "enumerate", table_csv, "--sizes", "1,1,4", "--dump", str(fifo)
+        )
+        reader.join(timeout=30)
+        assert code == 0
+        assert not reader.is_alive()
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert received[0].count(b"\r\n") == 31
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.pipe", "table1.csv"]
+
+    def test_missing_directory_names_file(self, capsys, table_csv, tmp_path):
+        dump = tmp_path / "missing" / "rows.csv"
+        code, _, err = run_cli(
+            capsys, "enumerate", table_csv, "--sizes", "1,1,4", "--dump", str(dump)
+        )
+        assert code == 2
+        assert f"No such file or directory: '{dump}'" in err
 
 
 class TestEnumerate:

@@ -1,8 +1,9 @@
+import csv
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from triarm import (
@@ -17,12 +18,113 @@ from triarm import (
     normalize_z,
     replicate,
 )
+from triarm.population import VARIABLES
 
 
 def write_csv(tmp_path, text, name="pop.csv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def reference_load_population(path) -> Population:
+    """The cell-by-cell loader that ``load_population`` must match.
+
+    Every cell is stripped, parsed and checked in turn, so the first bad
+    cell in file order is the one reported.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise PopulationFormatError("empty file: missing header row") from None
+        names = [cell.strip() for cell in header]
+        for name in names:
+            if name not in VARIABLES:
+                raise PopulationFormatError(f"unexpected column {name!r}", column=name)
+            if names.count(name) > 1:
+                raise PopulationFormatError(f"duplicate column {name!r}", column=name)
+        for required in VARIABLES:
+            if required not in names:
+                raise PopulationFormatError(f"missing column {required!r}", column=required)
+
+        columns = {name: [] for name in VARIABLES}
+        row_index = 0
+        for row in reader:
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            row_index += 1
+            if len(row) != len(names):
+                raise PopulationFormatError(
+                    f"row {row_index}: expected {len(names)} cells, found {len(row)}",
+                    row=row_index,
+                )
+            for name, cell in zip(names, row):
+                text = cell.strip()
+                try:
+                    value = float(text)
+                except ValueError:
+                    raise PopulationFormatError(
+                        f"row {row_index}, column {name!r}: not a number: {text!r}",
+                        row=row_index,
+                        column=name,
+                    ) from None
+                if not math.isfinite(value):
+                    raise PopulationFormatError(
+                        f"row {row_index}, column {name!r}: non-finite value {text!r}",
+                        row=row_index,
+                        column=name,
+                    )
+                columns[name].append(value)
+        if row_index == 0:
+            raise PopulationFormatError("empty body")
+    return Population(*(columns[name] for name in VARIABLES))
+
+
+_PADDING = st.sampled_from(["", " ", "  ", "\t", "\u2003", "\x0b"])
+_NUMBER_TEXT = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["-0.0", "1e-320", "1_0", ".5", "5.", "+3", "1E5", "1e308"]),
+)
+_BAD_TEXT = st.sampled_from(
+    ["", " ", "x", "0x10", "nan", "NaN", "inf", "-Infinity", "1e999", "-1e999", "1..2", "\u2003"]
+)
+_GOOD_CELL = st.tuples(_PADDING, _NUMBER_TEXT, _PADDING).map("".join)
+_CELL = st.one_of(_GOOD_CELL, st.tuples(_PADDING, _BAD_TEXT, _PADDING).map("".join))
+
+
+@st.composite
+def population_csv_texts(draw):
+    """CSV texts mixing good rows with blank, ragged and bad ones."""
+    names = draw(st.permutations(VARIABLES))
+    header = ",".join(draw(_PADDING) + name + draw(_PADDING) for name in names)
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        kinds = ["good"] * 8 + ["blank", "empty cells", "ragged", "mixed", "mixed"]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "good":
+            rows.append(",".join(draw(st.tuples(*(_GOOD_CELL,) * 4))))
+        elif kind == "blank":
+            rows.append(draw(_PADDING))
+        elif kind == "empty cells":
+            rows.append(",".join(draw(st.lists(_PADDING, min_size=2, max_size=5))))
+        elif kind == "ragged":
+            rows.append(",".join(draw(st.lists(_NUMBER_TEXT, min_size=1, max_size=6))))
+        else:
+            rows.append(",".join(draw(st.lists(_CELL, min_size=4, max_size=4))))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return bom + end.join([header, *rows]) + draw(st.sampled_from(["", end]))
+
+
+def _load_outcome(loader, path):
+    try:
+        pop = loader(path)
+    except PopulationFormatError as exc:
+        return ("error", str(exc), exc.row, exc.column)
+    return ("ok", *(pop.variable(name).tobytes() for name in VARIABLES))
 
 
 class TestLoad:
@@ -72,6 +174,19 @@ class TestLoad:
         with pytest.raises(PopulationFormatError, match="row 2"):
             load_population(write_csv(tmp_path, "a,b,c,z\n1,2,3,4\n1,2,3\n"))
 
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(text=population_csv_texts())
+    def test_matches_reference_loader(self, tmp_path, text):
+        # bit-equal columns, or the same message, row and column
+        path = write_csv(tmp_path, text)
+        assert _load_outcome(load_population, path) == _load_outcome(
+            reference_load_population, path
+        )
+
 
 class TestPopulation:
     def test_rejects_nan(self):
@@ -120,6 +235,11 @@ class TestMoments:
             for j, y in enumerate(names):
                 direct = float(np.mean(cols[i] * cols[j]) - cols[i].mean() * cols[j].mean())
                 assert abs(ms.cov(x, y) - direct) <= 1e-12
+
+    def test_computed_once_per_population(self, table_pop):
+        ms = moment_set(table_pop)
+        assert moment_set(table_pop) is ms
+        assert not ms.covariance.flags.writeable
 
     def test_cauchy_schwarz_bound(self, table_pop):
         ms = moment_set(table_pop)

@@ -26,6 +26,7 @@ from triarm import (
     sigma_matrix,
     theory_report,
 )
+from triarm import population
 from triarm.scenarios import (
     additive_spec,
     covariate_sum_spec,
@@ -173,6 +174,18 @@ class TestBiasK:
         centered = bias_k(shifted, GroupSizes(2, 2, 2))
         raw = bias_k(shifted, GroupSizes(2, 2, 2), center=False)
         assert not np.allclose(centered, raw)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    def test_matches_centered_population_route(self, offset):
+        # bias_k centers the product covariances itself; it must equal, bit
+        # for bit, the product covariances of the centered population
+        rng = np.random.default_rng(21)
+        raw = rng.normal(size=(4, 50)) + [[offset], [-offset], [3.0], [0.0]]
+        pop, _ = normalize_z(Population(*raw))
+        sizes = GroupSizes(10, 25, 15)
+        prod_cov = moment_set(center_responses(pop)[0]).product_covariances
+        old = prod_cov - float(np.dot(sizes.fractions(), prod_cov))
+        assert np.array_equal(bias_k(pop, sizes), old)
 
     def test_matches_enumeration_identity(self):
         # K equals (n-1) times the average, over all assignments, of the
@@ -335,6 +348,20 @@ class TestTheoryReport:
         )
         # additive population with q != 0: adjustment helps
         assert rep.gain.verdict == "helps"
+
+    def test_one_moment_pass_per_population(self, table_pop, monkeypatch):
+        built = []
+        real = population.MomentSet
+
+        def counting(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(population, "MomentSet", counting)
+        pop, _ = normalize_z(table_pop)
+        rep = theory_report(pop, GroupSizes(2, 2, 2), ("A", "C"))
+        assert len(built) == 1
+        assert rep.moments is moment_set(pop)
 
     def test_additive_gain_consistency(self, norm_table):
         # for additive populations the asymptotic contrast variance of
