@@ -139,12 +139,10 @@ def worker_generator(seed, stream: int) -> np.random.Generator:
     so the stream for a given (seed, stream) pair is fixed regardless of
     how many workers run or in which order.
     """
-    if isinstance(seed, np.random.SeedSequence):
-        base = seed
-        return np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(base.entropy, spawn_key=tuple(base.spawn_key) + (stream,)))
-        )
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(stream,))))
+    base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(base.entropy, spawn_key=tuple(base.spawn_key) + (stream,)))
+    )
 
 
 def random_assignment(sizes: GroupSizes, rng: np.random.Generator) -> Assignment:

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -437,7 +438,10 @@ def main(argv=None) -> int:
     try:
         if args.threads is None:
             args.threads = _default_threads()
-        report, notes = args.handler(args)
+        with warnings.catch_warnings():
+            # the policy note from _prepare_population already says this
+            warnings.filterwarnings("ignore", ".*covariate z is not normalized", UserWarning)
+            report, notes = args.handler(args)
     except EnumerationLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

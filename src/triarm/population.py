@@ -88,6 +88,10 @@ class Population:
         # dataclass allows; the arrays it is computed from never change
         return _compute_moment_set(self)
 
+    @functools.cached_property
+    def _z_normalized(self) -> bool:
+        return _compute_z_normalized(self)
+
 
 @dataclass(frozen=True)
 class MomentSet:
@@ -196,11 +200,19 @@ def normalize_z(pop: Population) -> tuple[Population, ZNormalization]:
     return Population(pop.a, pop.b, pop.c, centered / scale), ZNormalization(shift, scale)
 
 
-def is_normalized_z(pop: Population, tol: float = NORMALIZATION_TOL) -> bool:
+def _compute_z_normalized(pop: Population) -> bool:
     return (
-        abs(_fsum_mean(pop.z)) <= tol
-        and abs(_fsum_mean(pop.z * pop.z) - 1.0) <= tol
+        abs(_fsum_mean(pop.z)) <= NORMALIZATION_TOL
+        and abs(_fsum_mean(pop.z * pop.z) - 1.0) <= NORMALIZATION_TOL
     )
+
+
+def is_normalized_z(pop: Population) -> bool:
+    """Whether ``z`` has mean 0 and mean square 1 within :data:`NORMALIZATION_TOL`.
+
+    Decided on the first call for a population and kept, like its moments.
+    """
+    return pop._z_normalized
 
 
 def center_responses(pop: Population) -> tuple[Population, tuple[float, float, float]]:

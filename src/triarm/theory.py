@@ -34,6 +34,13 @@ def _warn_if_unnormalized(pop: Population, where: str) -> None:
         )
 
 
+def _pair_codes(pair: tuple[str, str]) -> tuple[int, int]:
+    s, t = pair
+    if s == t:
+        raise ValueError("groups must be distinct")
+    return _check_group(s), _check_group(t)
+
+
 @dataclass(frozen=True)
 class GroupMeanMoments:
     """Exact sampling moments of group means over random assignment.
@@ -59,13 +66,10 @@ def prop1_moments(
 ) -> GroupMeanMoments:
     """Exact mean/variance/covariances of group means of x and y."""
     sizes.validate_for(pop.n)
-    s, t = groups
-    if s == t:
-        raise ValueError("groups must be distinct")
-    _check_group(s), _check_group(t)
+    si, _ = _pair_codes(groups)
     ms = moment_set(pop)
     n = pop.n
-    p_s = sizes.counts()[_check_group(s)] / n
+    p_s = sizes.counts()[si] / n
     factor = (1.0 - p_s) / p_s / (n - 1)
     return GroupMeanMoments(
         mean=ms.mean(x),
@@ -77,22 +81,16 @@ def prop1_moments(
 
 def itt_pair_variance(pop: Population, sizes: GroupSizes, pair: tuple[str, str] = ("A", "C")) -> float:
     """Exact variance of the unadjusted contrast between two groups."""
-    s, t = pair
-    if s == t:
-        raise ValueError("groups must be distinct")
+    si, ti = _pair_codes(pair)
     sizes.validate_for(pop.n)
     ms = moment_set(pop)
-    n = pop.n
-    fractions = sizes.fractions()
-    xs = RESPONSE_OF_GROUP[s]
-    xt = RESPONSE_OF_GROUP[t]
-    p_s = fractions[_check_group(s)]
-    p_t = fractions[_check_group(t)]
+    p_s, p_t = sizes.fractions()[[si, ti]]
+    xs, xt = (RESPONSE_OF_GROUP[g] for g in pair)
     return (
         (1.0 - p_s) / p_s * ms.var(xs)
         + (1.0 - p_t) / p_t * ms.var(xt)
         + 2.0 * ms.cov(xs, xt)
-    ) / (n - 1)
+    ) / (pop.n - 1)
 
 
 def q_tilde(pop: Population, sizes: GroupSizes) -> float:
@@ -124,20 +122,20 @@ def bias_k(pop: Population, sizes: GroupSizes, center: bool = True) -> np.ndarra
 
 @dataclass(frozen=True)
 class AsymptoticSpec:
-    """Limiting fractions and moments driving every asymptotic formula.
+    """Limiting fractions and central moments driving every asymptotic formula.
 
-    The covariate is structurally normalized: its limiting mean is 0 and
-    its limiting mean square 1, so they are not fields.  ``mean_az`` and
-    friends are limits of the raw product averages, which under that
-    normalization equal the limiting covariances with z.
+    Every closed form here is invariant to shifting a response by a
+    constant, so the spec describes the centered limit and carries no
+    response means: ``mean_sq_a`` etc. are the limiting variances of the
+    responses, ``mean_ab`` etc. their covariances and ``mean_az`` etc.
+    their covariances with z.  The covariate is structurally normalized:
+    its limiting mean is 0 and its limiting mean square 1, so they are
+    not fields either.
     """
 
     p_a: float
     p_b: float
     p_c: float
-    mean_a: float = 0.0
-    mean_b: float = 0.0
-    mean_c: float = 0.0
     mean_sq_a: float = 0.0
     mean_sq_b: float = 0.0
     mean_sq_c: float = 0.0
@@ -165,31 +163,16 @@ class AsymptoticSpec:
     def fractions(self) -> np.ndarray:
         return np.array([self.p_a, self.p_b, self.p_c])
 
-    @property
-    def var_a(self) -> float:
-        return self.mean_sq_a - self.mean_a**2
-
-    @property
-    def var_b(self) -> float:
-        return self.mean_sq_b - self.mean_b**2
-
-    @property
-    def var_c(self) -> float:
-        return self.mean_sq_c - self.mean_c**2
-
     def covariance_matrix(self) -> np.ndarray:
         """Implied limiting covariance matrix of (a, b, c, z)."""
-        m = (self.mean_a, self.mean_b, self.mean_c)
-        cov = np.empty((4, 4))
-        cov[0, 0], cov[1, 1], cov[2, 2], cov[3, 3] = self.var_a, self.var_b, self.var_c, 1.0
-        cov[0, 1] = cov[1, 0] = self.mean_ab - m[0] * m[1]
-        cov[0, 2] = cov[2, 0] = self.mean_ac - m[0] * m[2]
-        cov[1, 2] = cov[2, 1] = self.mean_bc - m[1] * m[2]
-        # limiting mean of z is 0, so product moments with z are covariances
-        cov[0, 3] = cov[3, 0] = self.mean_az
-        cov[1, 3] = cov[3, 1] = self.mean_bz
-        cov[2, 3] = cov[3, 2] = self.mean_cz
-        return cov
+        return np.array(
+            [
+                [self.mean_sq_a, self.mean_ab, self.mean_ac, self.mean_az],
+                [self.mean_ab, self.mean_sq_b, self.mean_bc, self.mean_bz],
+                [self.mean_ac, self.mean_bc, self.mean_sq_c, self.mean_cz],
+                [self.mean_az, self.mean_bz, self.mean_cz, 1.0],
+            ]
+        )
 
     def degenerate_variables(self) -> tuple[str, ...]:
         """Responses whose limiting variance is not strictly positive.
@@ -198,11 +181,8 @@ class AsymptoticSpec:
         specs are still constructible because several edge-case
         identities are worth checking on them.
         """
-        out = []
-        for name, var in zip(("a", "b", "c"), (self.var_a, self.var_b, self.var_c)):
-            if var <= 0.0:
-                out.append(name)
-        return tuple(out)
+        variances = (self.mean_sq_a, self.mean_sq_b, self.mean_sq_c)
+        return tuple(name for name, var in zip("abc", variances) if var <= 0.0)
 
     def product_moments(self) -> np.ndarray:
         return np.array([self.mean_az, self.mean_bz, self.mean_cz])
@@ -220,17 +200,13 @@ def sigma_matrix(spec: AsymptoticSpec) -> tuple[np.ndarray, float]:
     (S, T) is -cov(x_S - Q z, x_T - Q z).
     """
     q = q_limit(spec)
-    cov = spec.covariance_matrix()
+    cov = spec.covariance_matrix()[:3, :3]
     prod = spec.product_moments()
     # var/cov of (x - Qz) expanded from the spec moments, var(z) = 1
-    adj = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            adj[i, j] = cov[i, j] - q * prod[i] - q * prod[j] + q * q
+    adj = cov - q * prod[:, None] - q * prod[None, :] + q * q
     p = spec.fractions
-    sigma = -adj.copy()
-    for i in range(3):
-        sigma[i, i] = (1.0 - p[i]) / p[i] * adj[i, i]
+    sigma = -adj
+    np.fill_diagonal(sigma, (1.0 - p) / p * np.diag(adj))
     sigma.setflags(write=False)
     return sigma, q
 
@@ -247,7 +223,7 @@ class NominalAsymptotics:
 def nominal_asymptotics(spec: AsymptoticSpec) -> NominalAsymptotics:
     """Limiting residual variance and the conventional covariance limit."""
     q = q_limit(spec)
-    sigma_sq = float(np.dot(spec.fractions, (spec.var_a, spec.var_b, spec.var_c)) - q * q)
+    sigma_sq = float(np.dot(spec.fractions, (spec.mean_sq_a, spec.mean_sq_b, spec.mean_sq_c)) - q * q)
     if sigma_sq < -1e-9:
         raise ValueError(f"inconsistent spec: limiting residual variance {sigma_sq:.3e} < 0")
     sigma_sq = max(sigma_sq, 0.0)
@@ -296,46 +272,50 @@ def adjustment_gain(spec: AsymptoticSpec, pair: tuple[str, str] = ("A", "C")) ->
     Stated for the (A, C) pair; any other pair follows by relabeling the
     groups, swapping the matching fractions and product moments.
     """
-    s, t = pair
-    if s == t:
-        raise ValueError("groups must be distinct")
-    si, ti = _check_group(s), _check_group(t)
+    si, ti = _pair_codes(pair)
     q = q_limit(spec)
     p = spec.fractions
     prod = spec.product_moments()
     gamma = 2.0 * q * (p[ti] * prod[si] + p[si] * prod[ti]) - q * q * (p[si] + p[ti])
-    return AdjustmentGain(gamma=float(gamma), pair=(s, t), q=q, p_s=float(p[si]), p_t=float(p[ti]))
+    return AdjustmentGain(gamma=float(gamma), pair=tuple(pair), q=q, p_s=float(p[si]), p_t=float(p[ti]))
 
 
 def plugin_spec(pop: Population, sizes: GroupSizes) -> AsymptoticSpec:
     """Treat a finite population as its own limit.
 
-    Fractions come from the sizes, moments from the population.  The
-    covariate must already be normalized (warned otherwise, since the
-    spec fixes its limiting mean and mean square structurally).
+    Fractions come from the sizes, variances and covariances from the
+    population.  The covariate must already be normalized (warned
+    otherwise, since the spec fixes its limiting mean and mean square
+    structurally); a raw covariate that leaves the spec unrealizable is
+    refused with its mean and mean square named.
     """
     sizes.validate_for(pop.n)
     _warn_if_unnormalized(pop, "plugin_spec")
     ms = moment_set(pop)
-    m = ms.means
     p = sizes.fractions()
-    return AsymptoticSpec(
-        p_a=float(p[0]),
-        p_b=float(p[1]),
-        p_c=float(p[2]),
-        mean_a=float(m[0]),
-        mean_b=float(m[1]),
-        mean_c=float(m[2]),
-        mean_sq_a=ms.var("a") + float(m[0]) ** 2,
-        mean_sq_b=ms.var("b") + float(m[1]) ** 2,
-        mean_sq_c=ms.var("c") + float(m[2]) ** 2,
-        mean_ab=ms.cov("a", "b") + float(m[0] * m[1]),
-        mean_ac=ms.cov("a", "c") + float(m[0] * m[2]),
-        mean_bc=ms.cov("b", "c") + float(m[1] * m[2]),
-        mean_az=ms.cov("a", "z") + float(m[0] * m[3]),
-        mean_bz=ms.cov("b", "z") + float(m[1] * m[3]),
-        mean_cz=ms.cov("c", "z") + float(m[2] * m[3]),
-    )
+    try:
+        return AsymptoticSpec(
+            p_a=float(p[0]),
+            p_b=float(p[1]),
+            p_c=float(p[2]),
+            mean_sq_a=ms.var("a"),
+            mean_sq_b=ms.var("b"),
+            mean_sq_c=ms.var("c"),
+            mean_ab=ms.cov("a", "b"),
+            mean_ac=ms.cov("a", "c"),
+            mean_bc=ms.cov("b", "c"),
+            mean_az=ms.cov("a", "z"),
+            mean_bz=ms.cov("b", "z"),
+            mean_cz=ms.cov("c", "z"),
+        )
+    except ValueError as exc:
+        if is_normalized_z(pop):
+            raise
+        mean_z = ms.mean("z")
+        raise ValueError(
+            f"{exc}; covariate z has mean {mean_z!r} and mean square "
+            f"{ms.var('z') + mean_z * mean_z!r}, but the closed forms need 0 and 1"
+        ) from None
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ import pytest
 
 from triarm import (
     GroupSizes,
+    Population,
     make_additive_population,
     make_interaction_population,
     make_orthogonal_population,
@@ -78,6 +79,24 @@ def order_report_frozen():
         seed=ORDER_CHECK_SEED,
         threads=THREADS,
     )
+
+
+@pytest.fixture(scope="session")
+def linear_response_population():
+    """Build the 600-row population a = s, b = 2s, c = -s, z = s + noise.
+
+    Every response is shifted by the argument; z is left raw.  The
+    closed forms of the shifted populations must match the unshifted
+    one, which exposes any cancellation against the response means.
+    """
+
+    def build(shift: float) -> Population:
+        rng = np.random.default_rng(0)
+        s = rng.standard_normal(600)
+        z = s + rng.standard_normal(600)
+        return Population(s + shift, 2.0 * s + shift, -s + shift, z)
+
+    return build
 
 
 def contrast_var(cov: np.ndarray, s: int = 0, t: int = 2) -> float:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import triarm
-from triarm import GroupSizes, load_population, normalize_z, q_tilde, theory_report
+from triarm import GroupSizes, load_population, normalize_z, population, q_tilde, theory_report
 from triarm.cli import main
 
 
@@ -52,6 +52,15 @@ def table_csv(tmp_path):
         "a,b,c,z\n0,1,2,0\n0,1,2,0\n0,1,2,0\n2,3,4,-2\n2,3,4,-2\n4,5,6,4\n",
         encoding="utf-8",
     )
+    return str(path)
+
+
+def write_population_csv(path, pop):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["a", "b", "c", "z"])
+        for row in zip(pop.a, pop.b, pop.c, pop.z):
+            writer.writerow([repr(float(v)) for v in row])
     return str(path)
 
 
@@ -108,6 +117,56 @@ class TestAnalyze:
         )
         assert code == 0
         assert "raw scale" in err
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [("analyze", ()), ("simulate", ("--reps", "200", "--seed", "1"))],
+    )
+    def test_off_policy_warns_once(self, table_csv, command, flags):
+        result = run_cli_process(
+            command, table_csv, "--sizes", "2,2,2", "--normalize", "off", *flags
+        )
+        assert result.returncode == 0
+        lines = result.stderr.splitlines()
+        assert len([line for line in lines if "not normalized" in line]) == 1
+        assert "UserWarning" not in result.stderr
+
+    def test_off_policy_unrealizable_names_covariate(self, capsys, tmp_path):
+        s = np.array([-1.5, -0.5, 0.0, 0.5, 1.5, 0.0])
+        pop = triarm.Population(s, 2.0 * s, -s, 50.0 + 12.0 * s)
+        path = write_population_csv(tmp_path / "raw.csv", pop)
+        code, out, err = run_cli(capsys, "analyze", path, "--sizes", "2,2,2", "--normalize", "off")
+        assert code == 2
+        assert out == ""
+        assert "covariate z has mean 50.0 and mean square" in err
+        assert "need 0 and 1" in err
+
+    def test_normalization_decided_once_per_population(self, capsys, table_csv, monkeypatch):
+        decided = []
+        real = population._compute_z_normalized
+
+        def counting(pop):
+            decided.append(pop)
+            return real(pop)
+
+        monkeypatch.setattr(population, "_compute_z_normalized", counting)
+        code, _, _ = run_cli(capsys, "analyze", table_csv, "--sizes", "2,2,2")
+        assert code == 0
+        # once for the raw population, once for its normalized copy
+        assert len(decided) == 2
+        assert decided[0] is not decided[1]
+
+    def test_response_shift_invariant(self, capsys, tmp_path, linear_response_population):
+        reports = []
+        for shift in (0.0, 1e5):
+            path = write_population_csv(tmp_path / f"shift{shift:g}.csv", linear_response_population(shift))
+            code, out, err = run_cli(capsys, "analyze", path, "--sizes", "150,300,150", "--format", "json")
+            assert code == 0, err
+            reports.append(strict_json(out))
+        base, shifted = reports
+        for key in ("sigma", "sigma_sq", "nominal_asymptotic"):
+            np.testing.assert_allclose(shifted[key], base[key], rtol=1e-11, atol=0)
+        assert shifted["gamma"]["value"] == pytest.approx(base["gamma"]["value"], rel=1e-11, abs=0)
 
     def test_neutral_verdict_for_orthogonal_covariate(self, capsys, tmp_path):
         from triarm import make_orthogonal_population

@@ -121,6 +121,10 @@ class TestITTPairVariance:
         pop = Population(np.ones(6), np.ones(6), np.ones(6), np.arange(6.0))
         assert itt_pair_variance(pop, GroupSizes(2, 2, 2)) == pytest.approx(0.0, abs=1e-15)
 
+    def test_unknown_group_rejected(self, table_pop):
+        with pytest.raises(ValueError, match="unknown group"):
+            itt_pair_variance(table_pop, GroupSizes(2, 2, 2), ("A", "D"))
+
     def test_symmetric_in_pair(self, table_pop):
         sizes = GroupSizes(1, 2, 3)
         assert itt_pair_variance(table_pop, sizes, ("A", "C")) == pytest.approx(
@@ -336,6 +340,27 @@ class TestPluginSpec:
     def test_round_trip_finite(self, norm_table):
         sigma, q = sigma_matrix(plugin_spec(norm_table, GroupSizes(1, 2, 3)))
         assert np.all(np.isfinite(sigma)) and np.isfinite(q)
+
+    @pytest.mark.parametrize("shift", [1e4, 1e5])
+    def test_response_shift_invariant(self, linear_response_population, shift):
+        sizes = GroupSizes(150, 300, 150)
+        base, _ = normalize_z(linear_response_population(0.0))
+        shifted, _ = normalize_z(linear_response_population(shift))
+        want, got = plugin_spec(base, sizes), plugin_spec(shifted, sizes)
+        np.testing.assert_allclose(sigma_matrix(got)[0], sigma_matrix(want)[0], rtol=1e-11, atol=0)
+        assert nominal_asymptotics(got).sigma_sq == pytest.approx(
+            nominal_asymptotics(want).sigma_sq, rel=1e-11, abs=0
+        )
+        assert adjustment_gain(got).gamma == pytest.approx(
+            adjustment_gain(want).gamma, rel=1e-11, abs=0
+        )
+
+    def test_raw_covariate_unrealizable_names_moments(self):
+        s = np.array([-1.5, -0.5, 0.0, 0.5, 1.5, 0.0])
+        pop = Population(s, 2.0 * s, -s, 50.0 + 12.0 * s)
+        with pytest.warns(UserWarning, match="not normalized"):
+            with pytest.raises(ValueError, match=r"covariate z has mean 50\.0 .*need 0 and 1"):
+                plugin_spec(pop, GroupSizes(2, 2, 2))
 
 
 class TestTheoryReport:
