@@ -6,12 +6,12 @@ assignments uniformly, enumerates them exhaustively in lexicographic
 order, and turns an assignment plus a population into the observed
 response vector.
 
-Enumeration unranks: each batch is the contiguous rank range
-``[lo, lo + batch_size)`` of the lexicographic order, turned into label
-codes by vectorized multiset-permutation unranking in int64.  So the
-order is the plain lexicographic one, no batch depends on the one
-before, and enumeration is refused once the number of label sequences
-times n reaches 2**63.
+Enumeration unranks: each batch is a contiguous range of ranks, turned
+into label codes by vectorized multiset-permutation unranking in int64
+(mode ``a-before-b`` first shifts its ranks onto ranks among all label
+sequences).  So the order is the plain lexicographic one, no batch
+depends on the one before, and enumeration is refused once the number
+of label sequences times n reaches 2**63.
 
 Randomness contract: generators are built on numpy's Philox bit
 generator (counter-based, splittable).  ``master_generator(seed)`` and
@@ -169,21 +169,21 @@ def assignment_count(sizes: GroupSizes, mode: str = "all") -> int:
     return total
 
 
-def _unrank(sizes: GroupSizes, total: int, lo: int, hi: int) -> np.ndarray:
-    """Label codes of lexicographic ranks ``lo .. hi-1``, one row each.
+def _unrank(sizes: GroupSizes, total: int, rank: np.ndarray) -> np.ndarray:
+    """Label codes of the lexicographic int64 ranks in ``rank``, one row each.
 
     Unranking of multiset permutations (Knuth, TAOCP 4A, 7.2.1.2): of the
     ``left`` completions that remain after a prefix, ``left * n_A / m``
     put A next and ``left * n_B / m`` put B next, where ``n_A``, ``n_B``
     are the labels still to place and ``m`` the positions still open.
     One pass per position picks A, B or C for every row at once.
+    ``rank`` is used as scratch space: it is overwritten, not copied.
     """
-    n = sizes.n
-    rank = np.arange(lo, hi, dtype=np.int64)
-    left = np.full(hi - lo, total, dtype=np.int64)
-    n_a = np.full(hi - lo, sizes.n_a, dtype=np.int64)
-    n_b = np.full(hi - lo, sizes.n_b, dtype=np.int64)
-    codes = np.empty((hi - lo, n), dtype=np.int8)
+    n, rows = sizes.n, len(rank)
+    left = np.full(rows, total, dtype=np.int64)
+    n_a = np.full(rows, sizes.n_a, dtype=np.int64)
+    n_b = np.full(rows, sizes.n_b, dtype=np.int64)
+    codes = np.empty((rows, n), dtype=np.int8)
     for pos in range(n):
         m = n - pos
         with_a = left * n_a // m
@@ -200,6 +200,20 @@ def _unrank(sizes: GroupSizes, total: int, lo: int, hi: int) -> np.ndarray:
     return codes
 
 
+def _a_before_b_starts(sizes: GroupSizes) -> np.ndarray:
+    """Shifts that turn ``a-before-b`` ranks into ranks among all sequences.
+
+    With n_A == n_B the kept sequences are, in lexicographic order, the
+    blocks ``C^k A ...`` for k = 0 .. n_C, and each is as large as the
+    dropped block ``C^k B ...`` that follows it (swap A and B).  Before
+    kept block k therefore lie ``starts[k]`` kept and as many dropped
+    sequences, so kept rank r in block k is full rank ``r + starts[k]``.
+    """
+    n, n_a = sizes.n, sizes.n_a
+    blocks = [math.comb(n - k - 1, n_a - 1) * math.comb(n - k - n_a, sizes.n_b) for k in range(sizes.n_c)]
+    return np.cumsum([0, *blocks], dtype=np.int64)
+
+
 def iter_code_batches(
     sizes: GroupSizes,
     mode: str = "all",
@@ -209,17 +223,15 @@ def iter_code_batches(
     """Yield enumerated assignments as (batch, n) int8 arrays.
 
     Lexicographic over label sequences with A < B < C; every batch but
-    the last holds ``batch_size`` rows.  Each chunk of ranks is unranked
-    directly, so no assignment list is ever built.  Mode ``a-before-b``
-    (defined only for n_A == n_B) keeps the assignments whose first
-    A-labeled subject precedes the first B-labeled one; swapping the A
-    and B labels pairs each kept assignment with a dropped one, so
-    exactly half survive.
+    the last holds ``batch_size`` rows and is unranked from its own rank
+    range.  Mode ``a-before-b`` (defined only for n_A == n_B) keeps the
+    assignments whose first A-labeled subject precedes the first B-labeled
+    one, exactly half (swapping A and B pairs each kept assignment with a
+    dropped one); :func:`_a_before_b_starts` shifts its ranks.
 
     Raises :class:`EnumerationLimitError` before the first batch when the
-    count exceeds ``limit``, or when the ranks walked (all label
-    sequences, twice the count in ``a-before-b``) times n reaches 2**63:
-    the rank arithmetic is int64.
+    count exceeds ``limit``, or when all label sequences (twice the count
+    in ``a-before-b``) times n reach 2**63: the rank arithmetic is int64.
     """
     count = assignment_count(sizes, mode)
     total = assignment_count(sizes)
@@ -228,25 +240,12 @@ def iter_code_batches(
     ceiling = (2**63 - 1) // sizes.n // (total // count)
     if count > ceiling:
         raise EnumerationLimitError(count, ceiling, "the int64 rank ceiling")
-    chunks = (
-        _unrank(sizes, total, lo, min(lo + batch_size, total)) for lo in range(0, total, batch_size)
-    )
-    if mode == "all":
-        yield from chunks
-        return
-    held, n_held = [], 0
-    for codes in chunks:
-        codes = codes[np.argmax(codes == 0, axis=1) < np.argmax(codes == 1, axis=1)]
-        held.append(codes)
-        n_held += len(codes)
-        if n_held >= batch_size:
-            rows = np.concatenate(held)
-            full = n_held - n_held % batch_size
-            for start in range(0, full, batch_size):
-                yield rows[start : start + batch_size]
-            held, n_held = [rows[full:]], n_held - full
-    if n_held:
-        yield np.concatenate(held)
+    starts = _a_before_b_starts(sizes) if mode == "a-before-b" else None
+    for lo in range(0, count, batch_size):
+        rank = np.arange(lo, min(lo + batch_size, count), dtype=np.int64)
+        if starts is not None:
+            rank += starts[np.searchsorted(starts, rank, side="right") - 1]
+        yield _unrank(sizes, total, rank)
 
 
 def enumerate_assignments(

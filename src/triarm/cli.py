@@ -20,7 +20,9 @@ import warnings
 
 import numpy as np
 
-from .assignment import GROUP_CODES, EnumerationLimitError, GroupSizes
+from .assignment import (
+    DEFAULT_ENUMERATION_LIMIT, ENUMERATION_MODES, GROUP_CODES, EnumerationLimitError, GroupSizes
+)
 from .experiments import exact_distribution, monte_carlo
 from .population import (
     PopulationFormatError,
@@ -253,6 +255,8 @@ def _contrast(matrix, s, t):
 
 
 def _cmd_enumerate(args):
+    if args.limit < 1:
+        raise ValueError(f"--limit must be at least 1, got {args.limit}")
     pop, sizes, z_map, notes = _prepare_population(args)
     summary = exact_distribution(
         pop,
@@ -410,8 +414,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="exact distribution over all assignments")
     _add_common(p)
-    p.add_argument("--mode", choices=("all", "a-before-b"), default="all")
-    p.add_argument("--limit", type=int, default=10**6, help="enumeration guard (default 1e6)")
+    p.add_argument("--mode", choices=ENUMERATION_MODES, default="all")
+    p.add_argument(
+        "--limit", type=int, default=DEFAULT_ENUMERATION_LIMIT, help="max assignments (default %(default)d)"
+    )
     p.add_argument("--dump", metavar="FILE", help="write per-assignment estimates to FILE as CSV")
     p.set_defaults(handler=_cmd_enumerate)
 

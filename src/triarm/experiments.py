@@ -17,6 +17,7 @@ rounds on one batch.
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -114,19 +115,14 @@ def _process_in_order(jobs, compute, merge, threads: int) -> None:
             merge(compute(job))
         return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        pending = {}
-        next_merge = 0
-        next_submit = 0
+        pending = deque()
         try:
             for job in jobs:
-                pending[next_submit] = pool.submit(compute, job)
-                next_submit += 1
-                while len(pending) > 2 * threads:
-                    merge(pending.pop(next_merge).result())
-                    next_merge += 1
-            while next_merge < next_submit:
-                merge(pending.pop(next_merge).result())
-                next_merge += 1
+                pending.append(pool.submit(compute, job))
+                if len(pending) > 2 * threads:
+                    merge(pending.popleft().result())
+            while pending:
+                merge(pending.popleft().result())
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise

@@ -101,19 +101,17 @@ def q_tilde(pop: Population, sizes: GroupSizes) -> float:
     return float(np.dot(sizes.fractions(), cross))
 
 
-def bias_k(pop: Population, sizes: GroupSizes, center: bool = True) -> np.ndarray:
+def bias_k(pop: Population, sizes: GroupSizes) -> np.ndarray:
     """Leading bias coefficient K of the adjusted estimator, per group.
 
     The literal formula is not invariant under shifting a response by a
     constant, but the bias it describes is; responses are therefore
     centered first (the derivation reduces to mean-zero responses before
-    isolating the term).  Pass ``center=False`` to see the uncentered
-    value for diagnostic comparison; it is not the bias coefficient.
+    isolating the term).
     """
     sizes.validate_for(pop.n)
     _warn_if_unnormalized(pop, "bias_k")
-    ms = moment_set(pop)
-    prod_cov = centered_product_covariances(pop, ms.means) if center else ms.product_covariances
+    prod_cov = centered_product_covariances(pop, moment_set(pop).means)
     weighted = float(np.dot(sizes.fractions(), prod_cov))
     out = prod_cov - weighted
     out.setflags(write=False)
@@ -202,8 +200,8 @@ def sigma_matrix(spec: AsymptoticSpec) -> tuple[np.ndarray, float]:
     q = q_limit(spec)
     cov = spec.covariance_matrix()[:3, :3]
     prod = spec.product_moments()
-    # var/cov of (x - Qz) expanded from the spec moments, var(z) = 1
-    adj = cov - q * prod[:, None] - q * prod[None, :] + q * q
+    # var/cov of (x - Qz), var(z) = 1; adding the products first keeps it symmetric
+    adj = cov - q * (prod[:, None] + prod[None, :]) + q * q
     p = spec.fractions
     sigma = -adj
     np.fill_diagonal(sigma, (1.0 - p) / p * np.diag(adj))

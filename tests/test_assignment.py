@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from triarm import (
     random_assignment,
     worker_generator,
 )
-from triarm.assignment import _unrank, iter_code_batches
+from triarm.assignment import _a_before_b_starts, _unrank, iter_code_batches
 
 
 def _next_multiset_permutation(codes: list) -> bool:
@@ -183,11 +184,31 @@ class TestEnumeration:
         total = assignment_count(sizes)
         first = next(iter_code_batches(sizes, limit=total))
         np.testing.assert_array_equal(first, next(reference_code_batches(sizes, "all", 4096)))
-        last = _unrank(sizes, total, total - 50, total)
+        last = _unrank(sizes, total, np.arange(total - 50, total, dtype=np.int64))
         mirror = next(reference_code_batches(GroupSizes(14, 14, 12), "all", 50))
         np.testing.assert_array_equal(last, 2 - mirror[::-1])
         with pytest.raises(EnumerationLimitError, match="int64"):
             next(iter_code_batches(GroupSizes(13, 14, 14), limit=10**40))
+
+    def test_a_before_b_exact_just_below_int64_ceiling(self):
+        # (14, 14, 12) has all label sequences times n at 0.97 * 2**63;
+        # kept ranks map to full ranks up to the last kept sequence
+        sizes = GroupSizes(14, 14, 12)
+        total, count = assignment_count(sizes), assignment_count(sizes, "a-before-b")
+        first = next(iter_code_batches(sizes, "a-before-b", limit=count))
+        np.testing.assert_array_equal(first, next(reference_code_batches(sizes, "a-before-b", 4096)))
+        # the last kept sequence closes block C^12 A, just before the
+        # comb(27, 14) sequences C^12 B ... that end the full order
+        last_rank = count - 1 + _a_before_b_starts(sizes)[-1]
+        assert last_rank == total - math.comb(27, 14) - 1
+        last = _unrank(sizes, total, np.array([last_rank], dtype=np.int64))
+        assert Assignment(last[0]).label_string == "C" * 12 + "A" + "B" * 14 + "A" * 13
+        for row in (*first, *last):
+            assert row[row != 2][0] == 0
+        with pytest.raises(EnumerationLimitError, match="int64") as err:
+            next(iter_code_batches(GroupSizes(14, 14, 13), "a-before-b", limit=10**40))
+        assert err.value.count == assignment_count(GroupSizes(14, 14, 13), "a-before-b")
+        assert err.value.limit == (2**63 - 1) // 41 // 2
 
     def test_a_before_b_subset(self):
         sizes = GroupSizes(1, 1, 4)

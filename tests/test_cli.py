@@ -343,6 +343,15 @@ class TestEnumerate:
         assert code == 3
         assert "5550996791340" in err
 
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_limit_below_one_exit_2(self, capsys, table_csv, limit):
+        code, out, err = run_cli(
+            capsys, "enumerate", table_csv, "--sizes", "2,2,2", "--limit", limit
+        )
+        assert code == 2
+        assert out == ""
+        assert f"--limit must be at least 1, got {limit}" in err
+
     def test_dump_file(self, capsys, table_csv, tmp_path):
         dump = tmp_path / "rows.csv"
         code, _, _ = run_cli(

@@ -172,13 +172,6 @@ class TestBiasK:
             atol=1e-12,
         )
 
-    def test_uncentered_diagnostic_differs(self):
-        pop = curved_response_population()
-        shifted = Population(pop.a + 5.0, pop.b, pop.c, pop.z)
-        centered = bias_k(shifted, GroupSizes(2, 2, 2))
-        raw = bias_k(shifted, GroupSizes(2, 2, 2), center=False)
-        assert not np.allclose(centered, raw)
-
     @pytest.mark.parametrize("offset", [0.0, 1e3])
     def test_matches_centered_population_route(self, offset):
         # bias_k centers the product covariances itself; it must equal, bit
@@ -249,6 +242,24 @@ class TestSigmaMatrix:
         sigma, q = sigma_matrix(AsymptoticSpec(p_a=0.25, p_b=0.5, p_c=0.25))
         assert q == 0.0
         np.testing.assert_allclose(sigma, 0.0, atol=1e-15)
+
+    def test_exactly_symmetric(self):
+        # random realizable specs: (a, b, c, z) covariance L L^T with z
+        # rescaled to unit variance
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            low = rng.normal(size=(4, 4))
+            cov = low @ low.T
+            cov /= np.sqrt(np.outer([1, 1, 1, cov[3, 3]], [1, 1, 1, cov[3, 3]]))
+            p = rng.uniform(0.1, 1.0, size=3)
+            spec = AsymptoticSpec(
+                *(p / p.sum()),
+                mean_sq_a=cov[0, 0], mean_sq_b=cov[1, 1], mean_sq_c=cov[2, 2],
+                mean_ab=cov[0, 1], mean_ac=cov[0, 2], mean_bc=cov[1, 2],
+                mean_az=cov[0, 3], mean_bz=cov[1, 3], mean_cz=cov[2, 3],
+            )
+            sigma, _ = sigma_matrix(spec)
+            assert np.array_equal(sigma, sigma.T)
 
     def test_additive_diagonal(self):
         q, var = 0.4, 1.3
