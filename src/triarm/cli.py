@@ -179,9 +179,12 @@ def _parse_pair(text: str) -> tuple[str, str]:
 def _default_threads() -> int:
     text = os.environ.get("TRIARM_THREADS", "1")
     try:
-        return max(1, int(text))
+        threads = int(text)
     except ValueError:
         raise ValueError(f"TRIARM_THREADS must be an integer, got {text!r}") from None
+    if threads < 1:
+        raise ValueError(f"TRIARM_THREADS must be at least 1, got {threads}")
+    return threads
 
 
 def _prepare_population(args):
@@ -395,7 +398,8 @@ def _add_common(parser, population=True, sizes=True):
         "--threads",
         type=int,
         default=None,
-        help="worker cap for the engines (default $TRIARM_THREADS or 1); results never depend on it",
+        help="worker cap for the engines, at least 1 (default $TRIARM_THREADS or 1); "
+        "results never depend on it",
     )
 
 
@@ -444,6 +448,8 @@ def main(argv=None) -> int:
     try:
         if args.threads is None:
             args.threads = _default_threads()
+        elif args.threads < 1:
+            raise ValueError(f"--threads must be at least 1, got {args.threads}")
         with warnings.catch_warnings():
             # the policy note from _prepare_population already says this
             warnings.filterwarnings("ignore", ".*covariate z is not normalized", UserWarning)

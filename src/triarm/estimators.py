@@ -289,15 +289,24 @@ class BatchEvaluator:
         return self._from_group_sums(t, g, zy, ysq, want_nominal)
 
     def evaluate_index(self, idx: np.ndarray, want_nominal=False):
+        """Both estimators for the rows of an index matrix.
+
+        Each group's column block is copied to a contiguous array once and
+        gathered from with ``take``, so every per-row sum reads the same
+        values in the same order as a fancy-index gather of the block.
+        Rows are independent: evaluating a matrix in row chunks gives the
+        rows of evaluating it whole.
+        """
         n_a, n_b, _ = self.sizes.counts()
-        blocks = (idx[:, :n_a], idx[:, n_a : n_a + n_b], idx[:, n_a + n_b :])
+        bounds = (0, n_a, n_a + n_b, self.n)
         t = np.empty((idx.shape[0], 3))
         g = np.empty_like(t)
         zy = np.empty_like(t)
         ysq = np.zeros(idx.shape[0])
-        for k, block in enumerate(blocks):
-            t[:, k] = self.responses[k][block].sum(axis=1)
-            zy[:, k] = self.products[k][block].sum(axis=1)
-            ysq += self.squares[k][block].sum(axis=1)
-            g[:, k] = self.z[block].sum(axis=1)
+        for k in range(3):
+            block = np.ascontiguousarray(idx[:, bounds[k] : bounds[k + 1]])
+            t[:, k] = self.responses[k].take(block).sum(axis=1)
+            zy[:, k] = self.products[k].take(block).sum(axis=1)
+            ysq += self.squares[k].take(block).sum(axis=1)
+            g[:, k] = self.z.take(block).sum(axis=1)
         return self._from_group_sums(t, g, zy, ysq, want_nominal)

@@ -100,11 +100,12 @@ class TestRandomAssignment:
         assert a.label_string == b.label_string
 
     def test_worker_streams_differ(self):
+        firsts = [worker_generator(42, stream).bit_generator.random_raw() for stream in range(8)]
+        assert len(set(firsts)) == 8
         sizes = GroupSizes(2, 2, 2)
         a = random_assignment(sizes, worker_generator(42, 0))
         b = random_assignment(sizes, worker_generator(42, 1))
-        # distinct streams; equality would be a (vanishingly unlikely) red flag
-        assert a.label_string != b.label_string or True
+        assert a.label_string != b.label_string
 
     def test_counts_respected(self):
         asg = random_assignment(GroupSizes(3, 4, 5), master_generator(0))

@@ -197,6 +197,26 @@ class TestAnalyze:
         assert code == 2
         assert err.startswith("error: TRIARM_THREADS")
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_2(self, capsys, table_csv, threads):
+        code, out, err = run_cli(
+            capsys, "simulate", table_csv, "--sizes", "2,2,2", "--reps", "100", "--seed", "1",
+            "--threads", threads,
+        )
+        assert code == 2
+        assert out == ""
+        assert f"--threads must be at least 1, got {threads}" in err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_env_below_one_exit_2(self, capsys, table_csv, monkeypatch, threads):
+        monkeypatch.setenv("TRIARM_THREADS", threads)
+        code, out, err = run_cli(
+            capsys, "simulate", table_csv, "--sizes", "2,2,2", "--reps", "100", "--seed", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: TRIARM_THREADS must be at least 1, got {threads}\n"
+
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "/nonexistent.csv", "--sizes", "2,2,2")
         assert code == 2

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import threading
 import time
 import warnings
@@ -23,7 +24,7 @@ from triarm import (
     order_checks,
     prop1_moments,
 )
-from triarm.assignment import assignment_count
+from triarm.assignment import assignment_count, worker_generator
 from triarm.estimators import BatchEvaluator
 from triarm.experiments import _Moments, _process_in_order
 from triarm.scenarios import (
@@ -32,6 +33,7 @@ from triarm.scenarios import (
     random_additive_population,
     random_conditional_constancy_population,
 )
+from triarm.theory import q_tilde
 
 from conftest import contrast_var
 
@@ -179,6 +181,121 @@ class TestExactEngine:
         sizes = GroupSizes(2, 2, 2)
         summary = exact_distribution(table_pop, sizes, mode=mode)
         assert rows and sum(rows) == summary.assignment_count == assignment_count(sizes, mode)
+
+
+def fancy_evaluate_index(evaluator, idx, want_nominal=True):
+    """``BatchEvaluator.evaluate_index`` by fancy indexing with strided column blocks."""
+    n_a, n_b, _ = evaluator.sizes.counts()
+    blocks = (idx[:, :n_a], idx[:, n_a : n_a + n_b], idx[:, n_a + n_b :])
+    t = np.empty((idx.shape[0], 3))
+    g = np.empty_like(t)
+    zy = np.empty_like(t)
+    ysq = np.zeros(idx.shape[0])
+    for k, block in enumerate(blocks):
+        t[:, k] = evaluator.responses[k][block].sum(axis=1)
+        zy[:, k] = evaluator.products[k][block].sum(axis=1)
+        ysq += evaluator.squares[k][block].sum(axis=1)
+        g[:, k] = evaluator.z[block].sum(axis=1)
+    return evaluator._from_group_sums(t, g, zy, ysq, want_nominal)
+
+
+def whole_batch_monte_carlo(monkeypatch, pop, sizes, reps, seed, **kwargs):
+    """``monte_carlo`` with every batch computed by the whole-batch algorithm.
+
+    Each round tiles all the rows it draws at once, permutes them with
+    one ``permuted`` call and gathers by fancy indexing; singular rows are
+    redrawn the same way and written back in place.  The engine's batch
+    plan, merge, summary and dump code are kept.
+    """
+    evaluator = BatchEvaluator(pop, sizes, q_tilde=q_tilde(pop, sizes))
+
+    def compute(job):
+        index, size = job
+        rng = worker_generator(seed, index)
+        res, bad, drawn = None, np.arange(size), 0
+        while bad.size:
+            idx = np.tile(np.arange(pop.n), (bad.size, 1))
+            rng.permuted(idx, axis=1, out=idx)
+            drawn += bad.size
+            patch = fancy_evaluate_index(evaluator, idx)
+            if res is None:
+                res = patch
+            else:
+                for key, arr in patch.items():
+                    res[key][bad] = arr
+            bad = bad[~patch["valid"]]
+        res["redraws"] = drawn - size
+        return res
+
+    def in_order(jobs, _compute, merge, _threads):
+        for job in jobs:
+            merge(compute(job))
+
+    with monkeypatch.context() as patched:
+        patched.setattr(triarm.experiments, "_process_in_order", in_order)
+        return monte_carlo(pop, sizes, reps, seed, **kwargs)
+
+
+def assert_same_summary(a, b):
+    for field in dataclasses.fields(a):
+        np.testing.assert_array_equal(getattr(a, field.name), getattr(b, field.name), field.name)
+
+
+class TestChunkedMonteCarlo:
+    """Chunked draws and ``take`` gathers give the whole-batch results bit for bit."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_matches_whole_batch(self, monkeypatch, tmp_path, threads):
+        rng = np.random.default_rng(8)
+        pop, _ = normalize_z(Population(*rng.uniform(-3, 3, size=(4, 100))))
+        sizes = GroupSizes(30, 40, 30)
+        reference = whole_batch_monte_carlo(
+            monkeypatch, pop, sizes, 10_000, 21, dump_path=tmp_path / "reference.csv"
+        )
+        rows = []
+        evaluate_index = BatchEvaluator.evaluate_index
+
+        def recording(self, idx, **kwargs):
+            rows.append(len(idx))
+            return evaluate_index(self, idx, **kwargs)
+
+        monkeypatch.setattr(BatchEvaluator, "evaluate_index", recording)
+        path = tmp_path / "chunked.csv"
+        chunked = monte_carlo(pop, sizes, 10_000, 21, threads=threads, dump_path=path)
+        # batches of 4096, 4096 and 1808 rows; 2621-row chunks
+        assert sorted(rows) == sorted([2621, 1475, 2621, 1475, 1808])
+        assert_same_summary(chunked, reference)
+        assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    @pytest.mark.filterwarnings("ignore:q_tilde")
+    def test_redraws_match_whole_batch(self, monkeypatch, tmp_path):
+        # the test_singular_draws_redrawn population, drawn 3 rows at a time
+        pop = Population(
+            [1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 2.0, 3.0], [5.0, 6.0, 7.0, 8.0], [1.0, 1.0, 2.0, 2.0]
+        )
+        sizes = GroupSizes(1, 1, 2)
+        reference = whole_batch_monte_carlo(
+            monkeypatch, pop, sizes, 3000, 4, dump_path=tmp_path / "reference.csv"
+        )
+        monkeypatch.setattr(triarm.experiments, "_DRAW_CHUNK_ELEMENTS", 3 * pop.n)
+        path = tmp_path / "chunked.csv"
+        chunked = monte_carlo(pop, sizes, 3000, 4, dump_path=path)
+        assert chunked.singular_redraws > 0
+        assert_same_summary(chunked, reference)
+        assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    @pytest.mark.parametrize("n, sizes", [(5, (1, 2, 2)), (100, (30, 40, 30)), (800, (200, 400, 200))])
+    def test_evaluate_index_matches_fancy_gathers(self, n, sizes):
+        rng = np.random.default_rng(n)
+        pop, _ = normalize_z(Population(*rng.uniform(-3, 3, size=(4, n))))
+        sizes = GroupSizes(*sizes)
+        evaluator = BatchEvaluator(pop, sizes, q_tilde=q_tilde(pop, sizes))
+        idx = rng.permuted(np.tile(np.arange(n), (50, 1)), axis=1)
+        taken = evaluator.evaluate_index(idx, want_nominal=True)
+        fancy = fancy_evaluate_index(evaluator, idx)
+        assert taken.keys() == fancy.keys()
+        for key in taken:
+            assert np.array_equal(taken[key], fancy[key], equal_nan=True), key
 
 
 class TestDumpBytes:
