@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import Assignment, GroupSizes, _check_group
+from .population import moment_set
 
 #: An assignment is singular when the mean square of the within-group
 #: centered covariate falls below this.  True singularity (covariate in
@@ -246,6 +247,9 @@ class BatchEvaluator:
 
     def __init__(self, pop, sizes: GroupSizes, q_tilde: float | None = None):
         sizes.validate_for(pop.n)
+        # exactly rounded means, and any overflow refused before the
+        # products below are formed: engine biases are gated at 1e-12
+        self.truth = moment_set(pop).means[:3]
         self.n = pop.n
         self.sizes = sizes
         self.counts = sizes.counts().astype(float)
@@ -253,9 +257,8 @@ class BatchEvaluator:
         self.responses = (pop.a, pop.b, pop.c)
         self.products = (pop.a * pop.z, pop.b * pop.z, pop.c * pop.z)
         self.squares = (pop.a * pop.a, pop.b * pop.b, pop.c * pop.c)
+        # a BLAS dot, not an fsum: it fixes the kernel's output bits
         self.z_sum_sq = float(pop.z @ pop.z)
-        # exactly rounded means: engine biases are gated at 1e-12
-        self.truth = np.array([math.fsum(x) / self.n for x in self.responses])
         self.q_tilde = q_tilde
 
     def _from_group_sums(self, t, g, zy, ysq, want_nominal):

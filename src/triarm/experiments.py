@@ -103,23 +103,33 @@ class _Moments:
         return self.m3 / self.count / var**1.5, self.m4 / self.count / var**2
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _process_in_order(jobs, compute, merge, threads: int) -> None:
     """Run ``compute`` over ``jobs`` and ``merge`` results in job order.
 
     The merge order never depends on ``threads``, which is what makes
-    engine output reproducible across worker counts.  When a job fails,
-    queued jobs are cancelled before the error propagates.
+    engine output reproducible across worker counts.  Workers, and with
+    them the ``2 * workers + 1`` jobs in flight, are capped at the usable
+    CPUs.  When a job fails, queued jobs are cancelled before the error
+    propagates.
     """
-    if threads <= 1:
+    workers = min(threads, _usable_cpus())
+    if workers <= 1:
         for job in jobs:
             merge(compute(job))
         return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque()
         try:
             for job in jobs:
                 pending.append(pool.submit(compute, job))
-                if len(pending) > 2 * threads:
+                if len(pending) > 2 * workers:
                     merge(pending.popleft().result())
             while pending:
                 merge(pending.popleft().result())
@@ -386,6 +396,7 @@ def monte_carlo(
     qt = q_tilde(pop, sizes)
     evaluator = BatchEvaluator(pop, sizes, q_tilde=qt)
     truth = evaluator.truth
+    # a numpy mean, not the moment set's fsum one: it fixes max_abs_dev_az_a's bits
     az_mean = float(evaluator.products[0].mean())
     n = pop.n
 

@@ -8,6 +8,16 @@ assignment of subjects to groups, never from the population itself.
 Every moment in this module uses the divisor ``n`` (not ``n - 1``): the
 closed-form sampling formulas in :mod:`triarm.theory` are exact only
 under that convention.
+
+This module is the package's one source of population sums.  A
+population caches its :class:`MomentSet` (:func:`moment_set`) and the
+mean and mean square of ``z`` (:func:`z_moments`); every other module
+reads them.  Two sums are taken elsewhere on purpose, because their
+exact bits fix the Monte Carlo output for a seed: ``monte_carlo``'s
+mean of ``a * z`` is a numpy mean, and ``BatchEvaluator.z_sum_sq`` is a
+BLAS dot product.  A sum that leaves the float range raises a
+:class:`ValueError` naming its variable; only the fourth absolute
+moments may be infinite.
 """
 
 import csv
@@ -89,8 +99,8 @@ class Population:
         return _compute_moment_set(self)
 
     @functools.cached_property
-    def _z_normalized(self) -> bool:
-        return _compute_z_normalized(self)
+    def _z_moments(self) -> tuple[float, float]:
+        return _compute_z_moments(self)
 
 
 @dataclass(frozen=True)
@@ -99,12 +109,14 @@ class MomentSet:
 
     ``means`` and ``fourth_abs_moments`` are ordered like
     :data:`VARIABLES`; ``covariance`` is the 4x4 matrix over the same
-    ordering; ``product_covariances`` holds cov(az, z), cov(bz, z),
-    cov(cz, z) where az etc. are the elementwise products.
+    ordering; ``product_means`` holds the means of az, bz, cz, the
+    elementwise products, and ``product_covariances`` holds cov(az, z),
+    cov(bz, z), cov(cz, z).
     """
 
     means: np.ndarray
     covariance: np.ndarray
+    product_means: np.ndarray
     product_covariances: np.ndarray
     fourth_abs_moments: np.ndarray
 
@@ -119,37 +131,52 @@ class MomentSet:
         return float(self.covariance[VARIABLES.index(x), VARIABLES.index(y)])
 
 
-def _fsum_mean(values: np.ndarray) -> float:
+def _fsum_mean(values: np.ndarray, label: str | None = None) -> float:
+    """Correctly rounded mean; with a ``label``, a non-finite mean raises naming it."""
     # fsum of a list is the same correctly rounded sum, and faster than
     # iterating over numpy scalars
-    return math.fsum(values.tolist()) / values.size
+    try:
+        mean = math.fsum(values.tolist()) / values.size
+    except OverflowError:  # finite terms summing past the float range
+        mean = math.inf
+    except ValueError:  # terms that overflowed to both inf and -inf
+        mean = math.nan
+    if label is not None and not math.isfinite(mean):
+        raise ValueError(f"{label} is not finite: the population's values are too large")
+    return mean
 
 
-def _fsum_cov(x: np.ndarray, mx: float, y: np.ndarray, my: float) -> float:
-    return math.fsum(((x - mx) * (y - my)).tolist()) / x.size
+def _fsum_cov(x: np.ndarray, mx: float, y: np.ndarray, my: float, label: str) -> float:
+    return _fsum_mean((x - mx) * (y - my), label)
 
 
-def _product_covariances(responses, z: np.ndarray, mz: float) -> np.ndarray:
-    """cov(xz, z) for each response x, given the mean ``mz`` of ``z``."""
-    out = np.empty(len(responses))
-    for k, x in enumerate(responses):
-        xz = x * z
-        out[k] = _fsum_cov(xz, _fsum_mean(xz), z, mz)
-    return out
+def _product_moments(responses, z: np.ndarray, mz: float, names="abc"):
+    """Means of xz and cov(xz, z) for each response x, given the mean ``mz`` of ``z``."""
+    products = [x * z for x in responses]
+    means = np.array([_fsum_mean(xz, f"the mean of {x}z") for xz, x in zip(products, names)])
+    covs = [
+        _fsum_cov(xz, m, z, mz, f"the covariance of {x}z and z")
+        for xz, m, x in zip(products, means, names)
+    ]
+    return means, np.array(covs)
 
 
 def _compute_moment_set(pop: Population) -> MomentSet:
     columns = [pop.variable(name) for name in VARIABLES]
-    means = np.array([_fsum_mean(x) for x in columns])
-    cov = np.empty((4, 4))
-    for i in range(4):
-        for j in range(i, 4):
-            cov[i, j] = cov[j, i] = _fsum_cov(columns[i], means[i], columns[j], means[j])
-    prod_cov = _product_covariances(columns[:3], pop.z, means[3])
-    fourth = np.array([_fsum_mean(np.abs(x) ** 4) for x in columns])
-    for arr in (means, cov, prod_cov, fourth):
+    # a product past the float range becomes inf, and its moment is refused
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = np.array([_fsum_mean(x, f"the mean of {v}") for x, v in zip(columns, VARIABLES)])
+        cov = np.empty((4, 4))
+        for i, x in enumerate(VARIABLES):
+            for j in range(i, 4):
+                label = f"the variance of {x}" if i == j else f"the covariance of {x} and {VARIABLES[j]}"
+                cov[i, j] = cov[j, i] = _fsum_cov(columns[i], means[i], columns[j], means[j], label)
+        prod_means, prod_cov = _product_moments(columns[:3], pop.z, means[3])
+        # the one moment allowed to overflow: it is reported, never used
+        fourth = np.array([_fsum_mean(np.abs(x) ** 4) for x in columns])
+    for arr in (means, cov, prod_means, prod_cov, fourth):
         arr.setflags(write=False)
-    return MomentSet(means, cov, prod_cov, fourth)
+    return MomentSet(means, cov, prod_means, prod_cov, fourth)
 
 
 def moment_set(pop: Population) -> MomentSet:
@@ -158,7 +185,9 @@ def moment_set(pop: Population) -> MomentSet:
     Sums are exact (``math.fsum``), so the results are correctly rounded
     regardless of population size.  They are computed on the first call
     for a population and the same read-only :class:`MomentSet` is
-    returned after that.
+    returned after that.  A mean, covariance or product moment outside
+    the float range raises :class:`ValueError` naming it; a fourth
+    absolute moment there is ``inf``.
     """
     return pop._moments
 
@@ -172,7 +201,7 @@ def centered_product_covariances(pop: Population, means) -> np.ndarray:
     without building that population or its other moments.
     """
     responses = [x - m for x, m in zip((pop.a, pop.b, pop.c), means[:3])]
-    return _product_covariances(responses, pop.z, means[3])
+    return _product_moments(responses, pop.z, means[3], ("centered a", "centered b", "centered c"))[1]
 
 
 @dataclass(frozen=True)
@@ -191,28 +220,28 @@ def normalize_z(pop: Population) -> tuple[Population, ZNormalization]:
     estimates (only differences are invariant), so callers must be able
     to see what was done.
     """
-    shift = _fsum_mean(pop.z)
+    shift, mean_sq = z_moments(pop)
     centered = pop.z - shift
-    scale = math.sqrt(_fsum_mean(centered * centered))
-    rms_raw = math.sqrt(_fsum_mean(pop.z * pop.z))
-    if scale <= 1e-12 * max(rms_raw, 1.0):
+    scale = math.sqrt(_fsum_mean(centered * centered, "the variance of z"))
+    if scale <= 1e-12 * max(math.sqrt(mean_sq), 1.0):
         raise ValueError("zero variance covariate")
     return Population(pop.a, pop.b, pop.c, centered / scale), ZNormalization(shift, scale)
 
 
-def _compute_z_normalized(pop: Population) -> bool:
-    return (
-        abs(_fsum_mean(pop.z)) <= NORMALIZATION_TOL
-        and abs(_fsum_mean(pop.z * pop.z) - 1.0) <= NORMALIZATION_TOL
-    )
+def _compute_z_moments(pop: Population) -> tuple[float, float]:
+    with np.errstate(over="ignore"):
+        return _fsum_mean(pop.z, "the mean of z"), _fsum_mean(pop.z * pop.z, "the mean square of z")
+
+
+def z_moments(pop: Population) -> tuple[float, float]:
+    """Mean and mean square of ``z``: computed once per population, and cheaper than its moment set."""
+    return pop._z_moments
 
 
 def is_normalized_z(pop: Population) -> bool:
-    """Whether ``z`` has mean 0 and mean square 1 within :data:`NORMALIZATION_TOL`.
-
-    Decided on the first call for a population and kept, like its moments.
-    """
-    return pop._z_normalized
+    """Whether ``z`` has mean 0 and mean square 1 within :data:`NORMALIZATION_TOL`."""
+    mean_z, mean_sq_z = z_moments(pop)
+    return abs(mean_z) <= NORMALIZATION_TOL and abs(mean_sq_z - 1.0) <= NORMALIZATION_TOL
 
 
 def center_responses(pop: Population) -> tuple[Population, tuple[float, float, float]]:
@@ -220,7 +249,7 @@ def center_responses(pop: Population) -> tuple[Population, tuple[float, float, f
 
     ``z`` is left untouched.
     """
-    means = tuple(_fsum_mean(x) for x in (pop.a, pop.b, pop.c))
+    means = tuple(moment_set(pop).means[:3].tolist())
     return (
         Population(pop.a - means[0], pop.b - means[1], pop.c - means[2], pop.z),
         means,
@@ -271,13 +300,11 @@ class ConditionReport:
 
 def condition_report(pop: Population, sizes) -> ConditionReport:
     sizes.validate_for(pop.n)
-    ms = moment_set(pop)
-    mean_z = ms.mean("z")
-    mean_sq_z = ms.var("z") + mean_z * mean_z
+    mean_z, mean_sq_z = z_moments(pop)
     return ConditionReport(
         mean_z=mean_z,
         mean_sq_z=mean_sq_z,
-        fourth_moment_bound=float(ms.fourth_abs_moments.max()),
+        fourth_moment_bound=float(moment_set(pop).fourth_abs_moments.max()),
         fractions_ok=bool(np.all(sizes.counts() > 0)),
         z_centered_ok=abs(mean_z) <= NORMALIZATION_TOL,
         z_scaled_ok=abs(mean_sq_z - 1.0) <= NORMALIZATION_TOL,

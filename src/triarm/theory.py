@@ -6,7 +6,6 @@ check these formulas; keeping the two sides independent is a design
 requirement, so nothing in this module touches an assignment.
 """
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -19,6 +18,7 @@ from .population import (
     centered_product_covariances,
     is_normalized_z,
     moment_set,
+    z_moments,
 )
 
 #: Response variable observed in each group.
@@ -97,8 +97,7 @@ def q_tilde(pop: Population, sizes: GroupSizes) -> float:
     """Fraction-weighted average of the raw response-covariate products."""
     sizes.validate_for(pop.n)
     _warn_if_unnormalized(pop, "q_tilde")
-    cross = [math.fsum((x * pop.z).tolist()) / pop.n for x in (pop.a, pop.b, pop.c)]
-    return float(np.dot(sizes.fractions(), cross))
+    return float(np.dot(sizes.fractions(), moment_set(pop).product_means))
 
 
 def bias_k(pop: Population, sizes: GroupSizes) -> np.ndarray:
@@ -309,10 +308,10 @@ def plugin_spec(pop: Population, sizes: GroupSizes) -> AsymptoticSpec:
     except ValueError as exc:
         if is_normalized_z(pop):
             raise
-        mean_z = ms.mean("z")
+        mean_z, mean_sq_z = z_moments(pop)
         raise ValueError(
             f"{exc}; covariate z has mean {mean_z!r} and mean square "
-            f"{ms.var('z') + mean_z * mean_z!r}, but the closed forms need 0 and 1"
+            f"{mean_sq_z!r}, but the closed forms need 0 and 1"
         ) from None
 
 

@@ -143,16 +143,17 @@ class TestAnalyze:
 
     def test_normalization_decided_once_per_population(self, capsys, table_csv, monkeypatch):
         decided = []
-        real = population._compute_z_normalized
+        real = population._compute_z_moments
 
         def counting(pop):
             decided.append(pop)
             return real(pop)
 
-        monkeypatch.setattr(population, "_compute_z_normalized", counting)
+        monkeypatch.setattr(population, "_compute_z_moments", counting)
         code, _, _ = run_cli(capsys, "analyze", table_csv, "--sizes", "2,2,2")
         assert code == 0
-        # once for the raw population, once for its normalized copy
+        # once for the raw population, once for its normalized copy:
+        # normalize_z reads the raw pair instead of summing z again
         assert len(decided) == 2
         assert decided[0] is not decided[1]
 
@@ -533,6 +534,54 @@ class TestSimulate:
         assert "error: singular design" in result.stderr
         assert "fraction 1" in result.stderr
         assert result.stdout == ""
+
+
+#: Rows whose population sums leave the float range, by what overflows.
+OVERFLOW_BODIES = {
+    # fsum of b and of c overflows
+    "mean": "1e308,1e308,1e308,1\n-1e308,1e308,1e308,2\n1e308,-1e308,1e308,3\n"
+    "1,2,3,4\n5,6,7,5\n8,9,1,6\n",
+    # a's mean is finite, its squared deviations are not
+    "variance": "1e200,2,3,1\n-1e200,3,4,2\n3,4,5,3\n4,5,6,4\n5,6,7,5\n6,7,8,6\n",
+    # only the fourth absolute moment of a overflows
+    "fourth": "1e100,2,3,1\n-1e100,3,4,2\n3,4,5,3\n4,5,6,4\n5,6,7,5\n6,7,8,6\n",
+}
+
+_OVERFLOW_COMMANDS = {
+    "analyze": (),
+    "enumerate": (),
+    "simulate": ("--reps", "50", "--seed", "1"),
+}
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("command", list(_OVERFLOW_COMMANDS))
+    @pytest.mark.parametrize(
+        "body, named", [("mean", "the mean of b"), ("variance", "the variance of a")]
+    )
+    def test_overflow_exit_2(self, tmp_path, command, body, named):
+        path = write_population(tmp_path, "a,b,c,z\n" + OVERFLOW_BODIES[body])
+        result = run_cli_process(
+            command, path, "--sizes", "2,2,2", *_OVERFLOW_COMMANDS[command], "--format", "json"
+        )
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert f"error: {named} is not finite" in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("command", list(_OVERFLOW_COMMANDS))
+    def test_fourth_moment_overflow_exit_0(self, tmp_path, command):
+        path = write_population(tmp_path, "a,b,c,z\n" + OVERFLOW_BODIES["fourth"])
+        result = run_cli_process(
+            command, path, "--sizes", "2,2,2", *_OVERFLOW_COMMANDS[command], "--format", "json"
+        )
+        assert result.returncode == 0
+        assert "Traceback" not in result.stderr
+        report = strict_json(result.stdout)
+        if command == "analyze":
+            assert report["moments"]["fourth_abs_moments"]["a"] is None
+            assert report["moments"]["fourth_abs_moments"]["b"] is not None
+            assert report["gamma"]["value"] is not None
 
 
 class TestReproduce:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from triarm import (
     effect_difference,
     enumerate_assignments,
     itt_estimates,
+    moment_set,
     mr_estimates,
     mr_via_normal_equations,
     nominal_covariance,
@@ -314,6 +317,13 @@ class TestBatchEvaluator:
             assert out["q_hat"][i] == pytest.approx(est.q_hat, abs=1e-11)
             assert out["sigma_hat_sq"][i] == pytest.approx(est.sigma_hat_sq, abs=1e-11)
             np.testing.assert_allclose(out["nominal_cov"][i], est.nominal_cov, atol=1e-10)
+
+    def test_truth_is_the_moment_set_means(self):
+        rng = np.random.default_rng(43)
+        pop, _ = random_instance(rng, n=11)
+        truth = BatchEvaluator(pop, GroupSizes(3, 4, 4)).truth
+        np.testing.assert_array_equal(truth, moment_set(pop).means[:3])
+        assert truth.tolist() == [math.fsum(x.tolist()) / pop.n for x in (pop.a, pop.b, pop.c)]
 
     def test_index_and_codes_paths_agree(self):
         rng = np.random.default_rng(42)

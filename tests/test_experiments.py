@@ -368,6 +368,49 @@ class TestProcessInOrder:
         assert len(started) <= 1 + threads
 
 
+class TestThreadCap:
+    """``--threads`` above the usable CPUs starts no more workers than CPUs."""
+
+    @staticmethod
+    def record_pools(monkeypatch):
+        sizes = []
+        real = triarm.experiments.ThreadPoolExecutor
+
+        def recording(max_workers):
+            sizes.append(max_workers)
+            return real(max_workers=max_workers)
+
+        monkeypatch.setattr(triarm.experiments, "ThreadPoolExecutor", recording)
+        return sizes
+
+    def test_pool_capped_at_usable_cpus(self, table_pop, monkeypatch):
+        sizes = self.record_pools(monkeypatch)
+        capped = exact_distribution(table_pop, GroupSizes(2, 2, 2), threads=10**6)
+        usable = triarm.experiments._usable_cpus()
+        assert sizes == ([usable] if usable > 1 else [])
+        serial = exact_distribution(table_pop, GroupSizes(2, 2, 2), threads=1)
+        np.testing.assert_array_equal(capped.mr_cov, serial.mr_cov)
+
+    def test_look_ahead_window_capped(self, monkeypatch):
+        sizes = self.record_pools(monkeypatch)
+        monkeypatch.setattr(triarm.experiments, "_usable_cpus", lambda: 3)
+        pulled, merged, in_flight = [], [], []
+
+        def jobs():
+            for job in range(40):
+                pulled.append(job)
+                yield job
+
+        def merge(res):
+            in_flight.append(len(pulled) - len(merged))
+            merged.append(res)
+
+        _process_in_order(jobs(), lambda job: job, merge, 10**6)
+        assert sizes == [3]
+        assert merged == list(range(40))
+        assert max(in_flight) == 2 * 3 + 1
+
+
 class TestSymmetryHelper:
     def test_requires_table(self, table_pop):
         summary = exact_distribution(table_pop, GroupSizes(2, 2, 2))

@@ -18,7 +18,7 @@ from triarm import (
     normalize_z,
     replicate,
 )
-from triarm.population import VARIABLES
+from triarm.population import VARIABLES, is_normalized_z, z_moments
 
 
 def write_csv(tmp_path, text, name="pop.csv"):
@@ -247,6 +247,59 @@ class TestMoments:
             for y in "abcz":
                 assert abs(ms.cov(x, y)) <= math.sqrt(ms.var(x) * ms.var(y)) + 1e-12
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_product_means_are_exact_means_of_products(self, seed):
+        rng = np.random.default_rng(seed)
+        pop = Population(*(rng.normal(3.0, 2.0, size=40) for _ in range(4)))
+        ms = moment_set(pop)
+        for k, x in enumerate((pop.a, pop.b, pop.c)):
+            assert ms.product_means[k] == math.fsum((x * pop.z).tolist()) / pop.n
+        assert not ms.product_means.flags.writeable
+
+
+class TestOverflow:
+    """A sum past the float range is refused, naming what overflowed."""
+
+    @staticmethod
+    def pop(a=(1.0, 2.0, 3.0), b=(2.0, 3.0, 4.0), c=(3.0, 4.0, 5.0), z=(1.0, 2.0, 4.0)):
+        return Population(a, b, c, z)
+
+    @pytest.mark.parametrize(
+        "kwargs, named",
+        [
+            ({"b": (1e308, 1e308, 1.0)}, "the mean of b"),
+            ({"a": (1e200, -1e200, 3.0)}, "the variance of a"),
+            ({"a": (1e150, 1e150, 1e150), "z": (1e159, 1e159, 1e159)}, "the mean of az"),
+            ({"a": (1e150, -1e150, 0.0), "z": (1e150, -1e150, 0.0)}, "the covariance of az and z"),
+        ],
+    )
+    def test_moment_set_names_variable(self, kwargs, named):
+        with pytest.raises(ValueError, match=f"^{named} is not finite"):
+            moment_set(self.pop(**kwargs))
+
+    @pytest.mark.parametrize(
+        "z, named", [((1e308, 1e308, 1.0), "the mean of z"), ((1e200, -1e200, 0.0), "the mean square of z")]
+    )
+    def test_z_moments_name_variable(self, z, named):
+        pop = self.pop(z=z)
+        with pytest.raises(ValueError, match=f"^{named} is not finite"):
+            is_normalized_z(pop)
+
+    def test_fourth_moment_may_overflow(self):
+        ms = moment_set(self.pop(a=(1e100, -1e100, 3.0)))
+        assert ms.fourth_abs_moments[0] == math.inf
+        assert math.isfinite(ms.var("a"))
+
+    def test_fourth_moment_sum_overflow_is_inf(self):
+        # each fourth power is finite, their sum is not
+        ms = moment_set(self.pop(a=(1e77, 1e77, 1e77)))
+        assert ms.fourth_abs_moments[0] == math.inf
+
+
+class TestZMoments:
+    def test_table_pair(self, table_pop):
+        assert z_moments(table_pop) == (0.0, 4.0)
+
 
 class TestNormalizeZ:
     def test_table_scaling(self, table_pop):
@@ -286,6 +339,10 @@ class TestCenterResponses:
         for column in (centered.a, centered.b, centered.c):
             np.testing.assert_allclose(column, expected, atol=1e-15)
         np.testing.assert_array_equal(centered.z, table_pop.z)
+
+    def test_means_are_the_moment_set_means(self, table_pop):
+        _, means = center_responses(table_pop)
+        assert means == tuple(moment_set(table_pop).means[:3])
 
     def test_idempotent(self, table_pop):
         once, _ = center_responses(table_pop)

@@ -145,6 +145,14 @@ class TestQTilde:
         with pytest.warns(UserWarning, match="not normalized"):
             q_tilde(table_pop, GroupSizes(2, 2, 2))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reads_the_product_means(self, seed):
+        rng = np.random.default_rng(seed)
+        pop, _ = normalize_z(Population(*(rng.normal(1.0, 2.0, size=30) for _ in range(4))))
+        sizes = GroupSizes(6, 15, 9)
+        product_means = moment_set(pop).product_means
+        assert q_tilde(pop, sizes) == float(np.dot(sizes.fractions(), product_means))
+
 
 class TestBiasK:
     def test_equal_responses_zero(self):
