@@ -373,11 +373,9 @@ def _cmd_reproduce(args):
     return report, []
 
 
-def _add_common(parser, population=True, sizes=True):
-    if population:
-        parser.add_argument("population", help="population CSV (columns a,b,c,z)")
-    if sizes:
-        parser.add_argument("--sizes", required=True, help="group sizes n_A,n_B,n_C")
+def _add_population_flags(parser):
+    parser.add_argument("population", help="population CSV (columns a,b,c,z)")
+    parser.add_argument("--sizes", required=True, help="group sizes n_A,n_B,n_C")
     parser.add_argument(
         "--normalize",
         choices=("auto", "require", "off"),
@@ -391,6 +389,9 @@ def _add_common(parser, population=True, sizes=True):
         metavar="M",
         help="duplicate every subject M >= 1 times first (default 1)",
     )
+
+
+def _add_output_flags(parser):
     parser.add_argument(
         "--format", choices=("table", "csv", "json"), default="table", help="output format"
     )
@@ -412,12 +413,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="closed-form moments, bias and gain report")
-    _add_common(p)
+    _add_population_flags(p)
+    _add_output_flags(p)
     p.add_argument("--pair", default="A,C", help="contrast pair for the gain verdict (default A,C)")
     p.set_defaults(handler=_cmd_analyze)
 
     p = sub.add_parser("enumerate", help="exact distribution over all assignments")
-    _add_common(p)
+    _add_population_flags(p)
+    _add_output_flags(p)
     p.add_argument("--mode", choices=ENUMERATION_MODES, default="all")
     p.add_argument(
         "--limit", type=int, default=DEFAULT_ENUMERATION_LIMIT, help="max assignments (default %(default)d)"
@@ -426,7 +429,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_enumerate)
 
     p = sub.add_parser("simulate", help="seeded Monte Carlo distribution summary")
-    _add_common(p)
+    _add_population_flags(p)
+    _add_output_flags(p)
     p.add_argument("--reps", type=int, required=True, help="number of replicates (>= 2)")
     p.add_argument("--seed", type=int, required=True, help="master seed")
     p.add_argument("--dump", metavar="FILE", help="write per-replicate estimates to FILE as CSV")
@@ -434,10 +438,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="run a built-in verification scenario")
     p.add_argument("--scenario", required=True, choices=SCENARIO_NAMES)
-    p.add_argument(
-        "--format", choices=("table", "csv", "json"), default="table", help="output format"
-    )
-    p.add_argument("--threads", type=int, default=None)
+    _add_output_flags(p)
     p.set_defaults(handler=_cmd_reproduce)
 
     return parser

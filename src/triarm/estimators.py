@@ -256,7 +256,16 @@ class BatchEvaluator:
         self.z = pop.z
         self.responses = (pop.a, pop.b, pop.c)
         self.products = (pop.a * pop.z, pop.b * pop.z, pop.c * pop.z)
-        self.squares = (pop.a * pop.a, pop.b * pop.b, pop.c * pop.c)
+        # n * sum(x^2) bounds every t^2 and g * t the kernel forms, so a
+        # finite bound for each variable keeps the kernel in range
+        with np.errstate(over="ignore"):
+            self.squares = (pop.a * pop.a, pop.b * pop.b, pop.c * pop.c)
+            for name, sq in zip("abcz", self.squares + (pop.z * pop.z,)):
+                if not math.isfinite(self.n * float(sq.sum())):
+                    raise ValueError(
+                        f"n times the sum of squares of {name} is not finite: "
+                        "the population's values are too large"
+                    )
         # a BLAS dot, not an fsum: it fixes the kernel's output bits
         self.z_sum_sq = float(pop.z @ pop.z)
         self.q_tilde = q_tilde

@@ -62,6 +62,8 @@ class _Moments:
     pairwise update of Chan, Golub & LeVeque (1979), the per-component
     third and fourth moment sums as in Pebay (2008, SAND2008-6212).
     Merging the same batches in the same order gives bit-identical results.
+    Sums past the float range become inf or NaN without a warning; a
+    statistic that overflowed reads as undefined (``null`` in reports).
     """
 
     def __init__(self, dim: int):
@@ -71,6 +73,7 @@ class _Moments:
         self.m3 = np.zeros(dim)
         self.m4 = np.zeros(dim)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def add(self, rows: np.ndarray) -> None:
         if rows.shape[0] == 0:
             return
@@ -96,6 +99,7 @@ class _Moments:
         self.mean += delta * (n_b / n)
         self.count += rows.shape[0]
 
+    @np.errstate(over="ignore", invalid="ignore")
     def skewness_kurtosis(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-component skewness and kurtosis; NaN where the variance is 0."""
         var = np.diag(self.m2) / self.count

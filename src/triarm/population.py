@@ -339,8 +339,10 @@ def load_population(path) -> Population:
         values = array("d")
         row_index = 0
         for row in reader:
-            # fast path: a full row of finite numbers; float() strips the
-            # same whitespace as str.strip()
+            # fast path: a full row of finite numbers.  float() strips the
+            # same whitespace as str.strip() except U+001C..U+001F, which
+            # only str.strip() removes; a cell holding them misses this
+            # path and _parse_row accepts it
             if len(row) == width:
                 try:
                     cells = list(map(float, row))

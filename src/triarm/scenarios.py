@@ -98,60 +98,43 @@ def random_additive_population(rng: np.random.Generator, n: int) -> Population:
 
 
 def identity_spec(var_b: float = 1.0) -> AsymptoticSpec:
-    """Limiting spec with identity covariances except a free b variance.
+    """Limiting spec with an identity covariance matrix except var(b).
 
-    Fractions are (1/4, 1/2, 1/4); all responses are centered and
-    uncorrelated with each other and with the covariate.
+    Fractions are (1/4, 1/2, 1/4); the covariance matrix of (a, b, c, z)
+    is diag(1, var_b, 1, 1), so the responses are uncorrelated with each
+    other and with the covariate.
     """
-    return AsymptoticSpec(
-        p_a=0.25, p_b=0.5, p_c=0.25, mean_sq_a=1.0, mean_sq_b=var_b, mean_sq_c=1.0
-    )
+    return AsymptoticSpec(np.array([0.25, 0.5, 0.25]), np.diag([1.0, var_b, 1.0, 1.0]))
 
 
 def additive_spec(q: float, p: tuple, var: float) -> AsymptoticSpec:
-    """Additive-effects spec: perfectly correlated centered responses.
+    """Additive-effects spec: perfectly correlated responses.
 
-    All three responses share variance ``var`` and covariance ``q`` with
-    the covariate; realizability requires var >= q**2.
+    Fractions are ``p``.  Every entry of the response block of the
+    covariance matrix is ``var``, and every response has covariance
+    ``q`` with the covariate; realizability requires var >= q**2.
     """
-    return AsymptoticSpec(
-        p_a=p[0],
-        p_b=p[1],
-        p_c=p[2],
-        mean_sq_a=var,
-        mean_sq_b=var,
-        mean_sq_c=var,
-        mean_ab=var,
-        mean_ac=var,
-        mean_bc=var,
-        mean_az=q,
-        mean_bz=q,
-        mean_cz=q,
-    )
+    cov = np.full((4, 4), float(var))
+    cov[:3, 3] = cov[3, :3] = q
+    cov[3, 3] = 1.0
+    return AsymptoticSpec(np.array(p), cov)
 
 
 def covariate_sum_spec(var_b: float) -> AsymptoticSpec:
     """Balanced spec where the covariate is the sum of the responses.
 
-    Responses are centered and mutually uncorrelated with variances
-    ((1 - var_b)/2, var_b, (1 - var_b)/2), so the covariate has unit
-    variance and covariance var(x) with each response x.
+    Responses are mutually uncorrelated with variances ((1 - var_b)/2,
+    var_b, (1 - var_b)/2), so the covariate has unit variance and
+    covariance var(x) with each response x: the matrix is diagonal
+    except for z's row and column, which repeat the variances.
     """
     if not 0.0 < var_b < 1.0:
         raise ValueError("var_b must lie strictly between 0 and 1")
     va = (1.0 - var_b) / 2.0
-    third = 1.0 / 3.0
-    return AsymptoticSpec(
-        p_a=third,
-        p_b=third,
-        p_c=third,
-        mean_sq_a=va,
-        mean_sq_b=var_b,
-        mean_sq_c=va,
-        mean_az=va,
-        mean_bz=var_b,
-        mean_cz=va,
-    )
+    variances = [va, var_b, va]
+    cov = np.diag(variances + [1.0])
+    cov[:3, 3] = cov[3, :3] = variances
+    return AsymptoticSpec(np.full(3, 1.0 / 3.0), cov)
 
 
 #: Stored reference values for the table2 scenario: the published

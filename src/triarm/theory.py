@@ -117,77 +117,50 @@ def bias_k(pop: Population, sizes: GroupSizes) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AsymptoticSpec:
-    """Limiting fractions and central moments driving every asymptotic formula.
+    """Limiting fractions and covariances driving every asymptotic formula.
 
-    Every closed form here is invariant to shifting a response by a
-    constant, so the spec describes the centered limit and carries no
-    response means: ``mean_sq_a`` etc. are the limiting variances of the
-    responses, ``mean_ab`` etc. their covariances and ``mean_az`` etc.
-    their covariances with z.  The covariate is structurally normalized:
-    its limiting mean is 0 and its limiting mean square 1, so they are
-    not fields either.
+    ``fractions`` holds the group fractions (p_A, p_B, p_C).
+    ``covariance`` is the limiting covariance matrix of (a, b, c, z),
+    ordered like :data:`triarm.population.VARIABLES`, the layout of
+    :attr:`MomentSet.covariance`.  Every closed form here is invariant to
+    shifting a response by a constant, so the spec carries no response
+    means.  The covariate is structurally normalized: its limiting mean
+    is 0 and its variance, entry [3, 3], must be exactly 1.  Both arrays
+    are kept as read-only copies.
     """
 
-    p_a: float
-    p_b: float
-    p_c: float
-    mean_sq_a: float = 0.0
-    mean_sq_b: float = 0.0
-    mean_sq_c: float = 0.0
-    mean_ab: float = 0.0
-    mean_ac: float = 0.0
-    mean_bc: float = 0.0
-    mean_az: float = 0.0
-    mean_bz: float = 0.0
-    mean_cz: float = 0.0
+    fractions: np.ndarray
+    covariance: np.ndarray
 
     def __post_init__(self):
-        p = (self.p_a, self.p_b, self.p_c)
-        if min(p) <= 0.0:
+        p = np.array(self.fractions, dtype=np.float64)
+        cov = np.array(self.covariance, dtype=np.float64)
+        if p.shape != (3,) or cov.shape != (4, 4):
+            raise ValueError(
+                f"expected 3 fractions and a 4x4 covariance, got shapes {p.shape} and {cov.shape}"
+            )
+        if not np.all(p > 0.0):
             raise ValueError("group fractions must be strictly positive")
-        if abs(sum(p) - 1.0) > 1e-9:
-            raise ValueError(f"group fractions must sum to 1, got {sum(p)!r}")
-        eigvals = np.linalg.eigvalsh(self.covariance_matrix())
+        if abs(p.sum() - 1.0) > 1e-9:
+            raise ValueError(f"group fractions must sum to 1, got {float(p.sum())!r}")
+        if not np.array_equal(cov, cov.T) or cov[3, 3] != 1.0:
+            raise ValueError("covariance must be symmetric with z's variance, entry [3, 3], equal to 1")
+        eigvals = np.linalg.eigvalsh(cov)
         if eigvals.min() < -1e-9:
             raise ValueError(
                 "moments are not realizable: implied covariance matrix has "
                 f"eigenvalue {eigvals.min():.3e}"
             )
-
-    @property
-    def fractions(self) -> np.ndarray:
-        return np.array([self.p_a, self.p_b, self.p_c])
-
-    def covariance_matrix(self) -> np.ndarray:
-        """Implied limiting covariance matrix of (a, b, c, z)."""
-        return np.array(
-            [
-                [self.mean_sq_a, self.mean_ab, self.mean_ac, self.mean_az],
-                [self.mean_ab, self.mean_sq_b, self.mean_bc, self.mean_bz],
-                [self.mean_ac, self.mean_bc, self.mean_sq_c, self.mean_cz],
-                [self.mean_az, self.mean_bz, self.mean_cz, 1.0],
-            ]
-        )
-
-    def degenerate_variables(self) -> tuple[str, ...]:
-        """Responses whose limiting variance is not strictly positive.
-
-        Strict positivity is assumed by the limit theorems; degenerate
-        specs are still constructible because several edge-case
-        identities are worth checking on them.
-        """
-        variances = (self.mean_sq_a, self.mean_sq_b, self.mean_sq_c)
-        return tuple(name for name, var in zip("abc", variances) if var <= 0.0)
-
-    def product_moments(self) -> np.ndarray:
-        return np.array([self.mean_az, self.mean_bz, self.mean_cz])
+        for name, arr in (("fractions", p), ("covariance", cov)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 def q_limit(spec: AsymptoticSpec) -> float:
     """Limiting value of the adjustment slope."""
-    return float(np.dot(spec.fractions, spec.product_moments()))
+    return float(np.dot(spec.fractions, spec.covariance[:3, 3]))
 
 
 def sigma_matrix(spec: AsymptoticSpec) -> tuple[np.ndarray, float]:
@@ -197,10 +170,9 @@ def sigma_matrix(spec: AsymptoticSpec) -> tuple[np.ndarray, float]:
     (S, T) is -cov(x_S - Q z, x_T - Q z).
     """
     q = q_limit(spec)
-    cov = spec.covariance_matrix()[:3, :3]
-    prod = spec.product_moments()
+    prod = spec.covariance[:3, 3]
     # var/cov of (x - Qz), var(z) = 1; adding the products first keeps it symmetric
-    adj = cov - q * (prod[:, None] + prod[None, :]) + q * q
+    adj = spec.covariance[:3, :3] - q * (prod[:, None] + prod[None, :]) + q * q
     p = spec.fractions
     sigma = -adj
     np.fill_diagonal(sigma, (1.0 - p) / p * np.diag(adj))
@@ -213,22 +185,19 @@ class NominalAsymptotics:
     """Limit of n times the conventional covariance matrix."""
 
     sigma_sq: float
-    d_matrix: np.ndarray
     covariance: np.ndarray
 
 
 def nominal_asymptotics(spec: AsymptoticSpec) -> NominalAsymptotics:
     """Limiting residual variance and the conventional covariance limit."""
     q = q_limit(spec)
-    sigma_sq = float(np.dot(spec.fractions, (spec.mean_sq_a, spec.mean_sq_b, spec.mean_sq_c)) - q * q)
+    sigma_sq = float(np.dot(spec.fractions, np.diag(spec.covariance)[:3]) - q * q)
     if sigma_sq < -1e-9:
         raise ValueError(f"inconsistent spec: limiting residual variance {sigma_sq:.3e} < 0")
     sigma_sq = max(sigma_sq, 0.0)
-    d = np.diag(np.append(spec.fractions, 1.0))
     cov = sigma_sq * np.diag(np.append(1.0 / spec.fractions, 1.0))
-    d.setflags(write=False)
     cov.setflags(write=False)
-    return NominalAsymptotics(sigma_sq=sigma_sq, d_matrix=d, covariance=cov)
+    return NominalAsymptotics(sigma_sq=sigma_sq, covariance=cov)
 
 
 @dataclass(frozen=True)
@@ -267,12 +236,12 @@ def adjustment_gain(spec: AsymptoticSpec, pair: tuple[str, str] = ("A", "C")) ->
     """Gain from adjustment for the given contrast.
 
     Stated for the (A, C) pair; any other pair follows by relabeling the
-    groups, swapping the matching fractions and product moments.
+    groups, swapping the matching fractions and covariances with z.
     """
     si, ti = _pair_codes(pair)
     q = q_limit(spec)
     p = spec.fractions
-    prod = spec.product_moments()
+    prod = spec.covariance[:3, 3]
     gamma = 2.0 * q * (p[ti] * prod[si] + p[si] * prod[ti]) - q * q * (p[si] + p[ti])
     return AdjustmentGain(gamma=float(gamma), pair=tuple(pair), q=q, p_s=float(p[si]), p_t=float(p[ti]))
 
@@ -280,31 +249,19 @@ def adjustment_gain(spec: AsymptoticSpec, pair: tuple[str, str] = ("A", "C")) ->
 def plugin_spec(pop: Population, sizes: GroupSizes) -> AsymptoticSpec:
     """Treat a finite population as its own limit.
 
-    Fractions come from the sizes, variances and covariances from the
-    population.  The covariate must already be normalized (warned
-    otherwise, since the spec fixes its limiting mean and mean square
-    structurally); a raw covariate that leaves the spec unrealizable is
-    refused with its mean and mean square named.
+    Fractions come from the sizes and the covariance matrix from the
+    population's moment set, with z's variance set to 1.  The covariate
+    must already be normalized (warned otherwise, since the spec fixes
+    its limiting mean and mean square structurally); a raw covariate that
+    leaves the spec unrealizable is refused with its mean and mean square
+    named.
     """
     sizes.validate_for(pop.n)
     _warn_if_unnormalized(pop, "plugin_spec")
-    ms = moment_set(pop)
-    p = sizes.fractions()
+    cov = moment_set(pop).covariance.copy()
+    cov[3, 3] = 1.0
     try:
-        return AsymptoticSpec(
-            p_a=float(p[0]),
-            p_b=float(p[1]),
-            p_c=float(p[2]),
-            mean_sq_a=ms.var("a"),
-            mean_sq_b=ms.var("b"),
-            mean_sq_c=ms.var("c"),
-            mean_ab=ms.cov("a", "b"),
-            mean_ac=ms.cov("a", "c"),
-            mean_bc=ms.cov("b", "c"),
-            mean_az=ms.cov("a", "z"),
-            mean_bz=ms.cov("b", "z"),
-            mean_cz=ms.cov("c", "z"),
-        )
+        return AsymptoticSpec(sizes.fractions(), cov)
     except ValueError as exc:
         if is_normalized_z(pop):
             raise
@@ -326,7 +283,6 @@ class TheoryReport:
     q: float
     sigma: np.ndarray
     sigma_sq: float
-    d_matrix: np.ndarray
     nominal: np.ndarray
     gain: AdjustmentGain
 
@@ -345,7 +301,6 @@ def theory_report(pop: Population, sizes: GroupSizes, pair: tuple[str, str] = ("
         q=q,
         sigma=sigma,
         sigma_sq=nominal.sigma_sq,
-        d_matrix=nominal.d_matrix,
         nominal=nominal.covariance,
         gain=adjustment_gain(spec, pair),
     )

@@ -545,6 +545,8 @@ OVERFLOW_BODIES = {
     "variance": "1e200,2,3,1\n-1e200,3,4,2\n3,4,5,3\n4,5,6,4\n5,6,7,5\n6,7,8,6\n",
     # only the fourth absolute moment of a overflows
     "fourth": "1e100,2,3,1\n-1e100,3,4,2\n3,4,5,3\n4,5,6,4\n5,6,7,5\n6,7,8,6\n",
+    # every moment of a is finite, its squares are not
+    "square": "1e200,2,3,1\n1e200,3,4,2\n1e200,4,5,3\n1e200,5,6,4\n1e200,6,7,5\n1e200,7,8,6\n",
 }
 
 _OVERFLOW_COMMANDS = {
@@ -577,11 +579,30 @@ class TestOverflow:
         )
         assert result.returncode == 0
         assert "Traceback" not in result.stderr
+        assert "RuntimeWarning" not in result.stderr
         report = strict_json(result.stdout)
         if command == "analyze":
             assert report["moments"]["fourth_abs_moments"]["a"] is None
             assert report["moments"]["fourth_abs_moments"]["b"] is not None
             assert report["gamma"]["value"] is not None
+
+
+    @pytest.mark.parametrize("command", list(_OVERFLOW_COMMANDS))
+    def test_square_overflow_refused_by_engines(self, tmp_path, command):
+        path = write_population(tmp_path, "a,b,c,z\n" + OVERFLOW_BODIES["square"])
+        result = run_cli_process(
+            command, path, "--sizes", "2,2,2", *_OVERFLOW_COMMANDS[command], "--format", "json"
+        )
+        assert "Traceback" not in result.stderr
+        assert "RuntimeWarning" not in result.stderr
+        if command == "analyze":
+            # the closed forms never form the squares
+            assert result.returncode == 0
+            strict_json(result.stdout)
+        else:
+            assert result.returncode == 2
+            assert "error: n times the sum of squares of a is not finite" in result.stderr
+            assert result.stdout == ""
 
 
 class TestReproduce:
@@ -604,6 +625,12 @@ class TestReproduce:
         assert by_label["all:effect_c"]["status"] == "pass"
         assert by_label["all:z_coef"]["status"] == "pass"
         assert by_label["all:effect_a"]["status"] == "discrepancy"
+
+    def test_threads_help_gives_range(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["reproduce", "--help"])
+        assert err.value.code == 0
+        assert "at least 1" in capsys.readouterr().out
 
     def test_unknown_scenario_exit_2(self, capsys):
         with pytest.raises(SystemExit) as err:

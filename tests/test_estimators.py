@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -324,6 +325,16 @@ class TestBatchEvaluator:
         truth = BatchEvaluator(pop, GroupSizes(3, 4, 4)).truth
         np.testing.assert_array_equal(truth, moment_set(pop).means[:3])
         assert truth.tolist() == [math.fsum(x.tolist()) / pop.n for x in (pop.a, pop.b, pop.c)]
+
+    @pytest.mark.parametrize("name, scale", [("z", 1e200), ("c", 1e154)])
+    def test_square_overflow_names_variable(self, name, scale):
+        # every moment is finite; the squares, or n times their sum, are not
+        columns = {v: np.arange(1.0, 7.0) for v in "abcz"}
+        columns[name] = np.full(6, scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"sum of squares of {name} is not finite"):
+                BatchEvaluator(Population(**columns), GroupSizes(2, 2, 2))
 
     def test_index_and_codes_paths_agree(self):
         rng = np.random.default_rng(42)

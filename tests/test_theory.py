@@ -216,24 +216,45 @@ class TestBiasK:
         np.testing.assert_allclose(bias_k(pop, sizes), oracle, atol=1e-12)
 
 
+#: Covariance of (a, b, c, z) with constant responses and a unit covariate.
+ZERO_RESPONSES = np.diag([0.0, 0.0, 0.0, 1.0])
+
+
 class TestAsymptoticSpec:
     def test_fraction_sum_enforced(self):
         with pytest.raises(ValueError, match="sum to 1"):
-            AsymptoticSpec(p_a=0.5, p_b=0.5, p_c=0.5)
+            AsymptoticSpec(np.array([0.5, 0.5, 0.5]), ZERO_RESPONSES)
 
     def test_positivity_enforced(self):
         with pytest.raises(ValueError, match="positive"):
-            AsymptoticSpec(p_a=-0.2, p_b=0.6, p_c=0.6)
+            AsymptoticSpec(np.array([-0.2, 0.6, 0.6]), ZERO_RESPONSES)
 
     def test_unrealizable_moments_rejected(self):
         # |corr| > 1 between a and z
+        cov = np.diag([1.0, 0.0, 0.0, 1.0])
+        cov[0, 3] = cov[3, 0] = 2.0
         with pytest.raises(ValueError, match="not realizable"):
-            AsymptoticSpec(p_a=1 / 3, p_b=1 / 3, p_c=1 / 3, mean_sq_a=1.0, mean_az=2.0)
+            AsymptoticSpec(np.full(3, 1 / 3), cov)
 
-    def test_degenerate_variables_flagged(self):
-        spec = AsymptoticSpec(p_a=0.25, p_b=0.5, p_c=0.25)
-        assert spec.degenerate_variables() == ("a", "b", "c")
-        assert identity_spec().degenerate_variables() == ()
+    @pytest.mark.parametrize(
+        "fractions, cov, match",
+        [
+            ([0.5, 0.5], ZERO_RESPONSES, "shapes"),
+            ([0.25, 0.5, 0.25], ZERO_RESPONSES[:3, :3], "shapes"),
+            ([0.25, 0.5, 0.25], ZERO_RESPONSES + np.triu(np.full((4, 4), 0.1), 1), "symmetric"),
+            ([0.25, 0.5, 0.25], 2.0 * ZERO_RESPONSES, "equal to 1"),
+        ],
+    )
+    def test_matrix_layout_enforced(self, fractions, cov, match):
+        with pytest.raises(ValueError, match=match):
+            AsymptoticSpec(np.array(fractions), cov)
+
+    def test_arrays_are_read_only_copies(self):
+        cov = ZERO_RESPONSES.copy()
+        spec = AsymptoticSpec(np.array([0.25, 0.5, 0.25]), cov)
+        cov[0, 0] = 5.0
+        assert spec.covariance[0, 0] == 0.0
+        assert not spec.covariance.flags.writeable and not spec.fractions.flags.writeable
 
 
 class TestSigmaMatrix:
@@ -247,7 +268,7 @@ class TestSigmaMatrix:
         assert contrast == pytest.approx(6.0, abs=1e-12)
 
     def test_all_zero_moments(self):
-        sigma, q = sigma_matrix(AsymptoticSpec(p_a=0.25, p_b=0.5, p_c=0.25))
+        sigma, q = sigma_matrix(AsymptoticSpec(np.array([0.25, 0.5, 0.25]), ZERO_RESPONSES))
         assert q == 0.0
         np.testing.assert_allclose(sigma, 0.0, atol=1e-15)
 
@@ -259,14 +280,9 @@ class TestSigmaMatrix:
             low = rng.normal(size=(4, 4))
             cov = low @ low.T
             cov /= np.sqrt(np.outer([1, 1, 1, cov[3, 3]], [1, 1, 1, cov[3, 3]]))
+            cov[3, 3] = 1.0  # the scaling leaves it within roundoff of 1
             p = rng.uniform(0.1, 1.0, size=3)
-            spec = AsymptoticSpec(
-                *(p / p.sum()),
-                mean_sq_a=cov[0, 0], mean_sq_b=cov[1, 1], mean_sq_c=cov[2, 2],
-                mean_ab=cov[0, 1], mean_ac=cov[0, 2], mean_bc=cov[1, 2],
-                mean_az=cov[0, 3], mean_bz=cov[1, 3], mean_cz=cov[2, 3],
-            )
-            sigma, _ = sigma_matrix(spec)
+            sigma, _ = sigma_matrix(AsymptoticSpec(p / p.sum(), cov))
             assert np.array_equal(sigma, sigma.T)
 
     def test_additive_diagonal(self):
@@ -282,7 +298,6 @@ class TestNominalAsymptotics:
     def test_identity_case(self):
         nom = nominal_asymptotics(identity_spec())
         assert nom.sigma_sq == pytest.approx(1.0, abs=1e-14)
-        np.testing.assert_allclose(np.diag(nom.d_matrix), [0.25, 0.5, 0.25, 1.0])
         assert nom.covariance[0, 0] + nom.covariance[2, 2] == pytest.approx(8.0, abs=1e-12)
 
     def test_small_b_variance(self):
@@ -291,7 +306,7 @@ class TestNominalAsymptotics:
         assert nom.covariance[0, 0] + nom.covariance[2, 2] == pytest.approx(5.0, abs=1e-12)
 
     def test_degenerate_spec_zero(self):
-        nom = nominal_asymptotics(AsymptoticSpec(p_a=0.25, p_b=0.5, p_c=0.25))
+        nom = nominal_asymptotics(AsymptoticSpec(np.array([0.25, 0.5, 0.25]), ZERO_RESPONSES))
         assert nom.sigma_sq == 0.0
 
 
@@ -320,17 +335,8 @@ class TestAdjustmentGain:
 
     def test_sign_flip_of_z_invariant(self):
         spec = covariate_sum_spec(5.0 / 6.0)
-        flipped = AsymptoticSpec(
-            p_a=spec.p_a,
-            p_b=spec.p_b,
-            p_c=spec.p_c,
-            mean_sq_a=spec.mean_sq_a,
-            mean_sq_b=spec.mean_sq_b,
-            mean_sq_c=spec.mean_sq_c,
-            mean_az=-spec.mean_az,
-            mean_bz=-spec.mean_bz,
-            mean_cz=-spec.mean_cz,
-        )
+        signs = np.array([1.0, 1.0, 1.0, -1.0])
+        flipped = AsymptoticSpec(spec.fractions, spec.covariance * np.outer(signs, signs))
         assert adjustment_gain(flipped).gamma == pytest.approx(
             adjustment_gain(spec).gamma, abs=1e-14
         )
@@ -350,11 +356,8 @@ class TestPluginSpec:
         base = plugin_spec(norm_table, sizes)
         for m in (2, 5, 17):
             again = plugin_spec(replicate(norm_table, m), sizes.scaled(m))
-            assert again == base or np.allclose(
-                [again.mean_az, again.mean_sq_a, again.mean_ab],
-                [base.mean_az, base.mean_sq_a, base.mean_ab],
-                atol=1e-12,
-            )
+            assert np.array_equal(again.fractions, base.fractions)
+            np.testing.assert_allclose(again.covariance, base.covariance, rtol=0, atol=1e-12)
 
     def test_round_trip_finite(self, norm_table):
         sigma, q = sigma_matrix(plugin_spec(norm_table, GroupSizes(1, 2, 3)))
