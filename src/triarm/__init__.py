@@ -30,7 +30,6 @@ from .estimators import (
     itt_estimates,
     mr_estimates,
     mr_via_normal_equations,
-    nominal_covariance,
 )
 from .experiments import (
     ExactSummary,

@@ -220,19 +220,6 @@ def mr_via_normal_equations(z, Y, asg: Assignment) -> MREstimate:
     return _assemble(asg, *(fit[key][0] for key in keys))
 
 
-def nominal_covariance(est: MREstimate, n: int) -> tuple[np.ndarray, float]:
-    """Conventional covariance matrix sigma^2 (X'X)^-1 and sigma^2.
-
-    sigma^2 divides the squared residual norm by n - 4.  Both are the
-    values stored on ``est`` by the route that computed it.
-    """
-    if n != est.n:
-        raise ValueError(f"estimate was computed from n={est.n}, got n={n}")
-    if n <= 4:
-        raise ValueError("insufficient degrees of freedom")
-    return est.nominal_cov, est.sigma_hat_sq
-
-
 class BatchEvaluator:
     """Vectorized evaluation of both estimators over many assignments.
 

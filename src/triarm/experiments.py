@@ -1,13 +1,15 @@
 """Distribution engines: exhaustive enumeration and seeded Monte Carlo.
 
 Both engines evaluate the unadjusted and adjusted estimators over
-assignments and reduce each batch to its count, mean and co-moments
-(plus third and fourth moments of the lead term in Monte Carlo).  Batch
-moments are merged pairwise (Chan, Golub & LeVeque 1979; Pebay 2008) in
-fixed batch order, so results are bit-identical for any worker count and
-no moment is rebuilt from raw power sums.  Monte Carlo batches draw from
-per-batch generator streams split deterministically from the master
-seed, so they are also independent of how work is scheduled.
+assignments and reduce each batch to the moments they report: the count
+and mean of every statistic, co-moment matrices of the unadjusted and
+adjusted estimates and of the Monte Carlo lead term ``zeta``, and third
+and fourth moments of ``zeta`` alone.  Batch moments are merged pairwise
+(Chan, Golub & LeVeque 1979; Pebay 2008) in fixed batch order, so
+results are bit-identical for any worker count and no moment is rebuilt
+from raw power sums.  Monte Carlo batches draw from per-batch generator
+streams split deterministically from the master seed, so they are also
+independent of how work is scheduled.
 
 Singular assignments (covariate collinear with the group dummies) are
 excluded and counted by the exact engine, and redrawn and counted by the
@@ -19,7 +21,7 @@ import math
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,20 +60,21 @@ MAX_REDRAW_ROUNDS = 100
 class _Moments:
     """Mergeable count, mean and central moment sums of row vectors.
 
-    ``add`` folds in a batch of rows: the mean and co-moment matrix by the
-    pairwise update of Chan, Golub & LeVeque (1979), the per-component
-    third and fourth moment sums as in Pebay (2008, SAND2008-6212).
-    Merging the same batches in the same order gives bit-identical results.
-    Sums past the float range become inf or NaN without a warning; a
-    statistic that overflowed reads as undefined (``null`` in reports).
+    ``order`` 1 keeps the mean, 2 adds the co-moment matrix ``m2`` and 4
+    the per-component third and fourth moment sums ``m3`` and ``m4``
+    (None when not kept).  ``add`` folds in a batch of rows by the pairwise
+    updates of Chan, Golub & LeVeque (1979) and Pebay (2008, SAND2008-6212).
+    No update reads a higher-order sum, so the same batches merged in the
+    same order give the same bits at every order.  Sums past the float
+    range become inf or NaN without a warning; a statistic that overflowed
+    reads as undefined (``null`` in reports).
     """
 
-    def __init__(self, dim: int):
+    def __init__(self, dim: int, order: int = 2):
         self.count = 0
         self.mean = np.zeros(dim)
-        self.m2 = np.zeros((dim, dim))
-        self.m3 = np.zeros(dim)
-        self.m4 = np.zeros(dim)
+        self.m2 = np.zeros((dim, dim)) if order >= 2 else None
+        self.m3, self.m4 = (np.zeros(dim), np.zeros(dim)) if order >= 4 else (None, None)
 
     @np.errstate(over="ignore", invalid="ignore")
     def add(self, rows: np.ndarray) -> None:
@@ -80,28 +83,32 @@ class _Moments:
         # one contiguous row per component: fast, pairwise-summed reductions
         cols = np.ascontiguousarray(rows.T)
         mean_b = cols.mean(axis=1)
-        d = cols - mean_b[:, None]
-        d2 = d * d
-        m2_b, m3_b, m4_b = d @ d.T, (d2 * d).sum(axis=1), (d2 * d2).sum(axis=1)
         n_a, n_b = float(self.count), float(rows.shape[0])
         n = n_a + n_b
-        w = n_a * n_b / n
         delta = mean_b - self.mean
-        v_a, v_b = np.diag(self.m2), np.diag(m2_b)
-        self.m4 += (
-            m4_b
-            + delta**4 * w * (n_a * n_a - n_a * n_b + n_b * n_b) / (n * n)
-            + 6.0 * delta**2 * (n_a * n_a * v_b + n_b * n_b * v_a) / (n * n)
-            + 4.0 * delta * (n_a * m3_b - n_b * self.m3) / n
-        )
-        self.m3 += m3_b + delta**3 * w * (n_a - n_b) / n + 3.0 * delta * (n_a * v_b - n_b * v_a) / n
-        self.m2 += m2_b + np.outer(delta, delta) * w
+        if self.m2 is not None:
+            d = cols - mean_b[:, None]
+            m2_b, w = d @ d.T, n_a * n_b / n
+            if self.m3 is not None:
+                d2 = d * d
+                m3_b, m4_b = (d2 * d).sum(axis=1), (d2 * d2).sum(axis=1)
+                v_a, v_b = np.diag(self.m2), np.diag(m2_b)
+                self.m4 += (
+                    m4_b
+                    + delta**4 * w * (n_a * n_a - n_a * n_b + n_b * n_b) / (n * n)
+                    + 6.0 * delta**2 * (n_a * n_a * v_b + n_b * n_b * v_a) / (n * n)
+                    + 4.0 * delta * (n_a * m3_b - n_b * self.m3) / n
+                )
+                self.m3 += (
+                    m3_b + delta**3 * w * (n_a - n_b) / n + 3.0 * delta * (n_a * v_b - n_b * v_a) / n
+                )
+            self.m2 += m2_b + np.outer(delta, delta) * w
         self.mean += delta * (n_b / n)
         self.count += rows.shape[0]
 
     @np.errstate(over="ignore", invalid="ignore")
     def skewness_kurtosis(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-component skewness and kurtosis; NaN where the variance is 0."""
+        """Per-component skewness and kurtosis (order 4); NaN where the variance is 0."""
         var = np.diag(self.m2) / self.count
         var = np.where(var > 0.0, var, np.nan)
         return self.m3 / self.count / var**1.5, self.m4 / self.count / var**2
@@ -114,19 +121,19 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _process_in_order(jobs, compute, merge, threads: int) -> None:
-    """Run ``compute`` over ``jobs`` and ``merge`` results in job order.
+def _process_in_order(jobs, compute, threads: int):
+    """Yield ``compute(job)`` for each of ``jobs``, in job order.
 
-    The merge order never depends on ``threads``, which is what makes
+    The yield order never depends on ``threads``, which is what makes
     engine output reproducible across worker counts.  Workers, and with
     them the ``2 * workers + 1`` jobs in flight, are capped at the usable
-    CPUs.  When a job fails, queued jobs are cancelled before the error
-    propagates.
+    CPUs.  However iteration ends, by a failed job or by closing the
+    generator, queued jobs are cancelled and running ones waited for.
     """
     workers = min(threads, _usable_cpus())
     if workers <= 1:
         for job in jobs:
-            merge(compute(job))
+            yield compute(job)
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque()
@@ -134,12 +141,11 @@ def _process_in_order(jobs, compute, merge, threads: int) -> None:
             for job in jobs:
                 pending.append(pool.submit(compute, job))
                 if len(pending) > 2 * workers:
-                    merge(pending.popleft().result())
+                    yield pending.popleft().result()
             while pending:
-                merge(pending.popleft().result())
-        except BaseException:
+                yield pending.popleft().result()
+        finally:
             pool.shutdown(cancel_futures=True)
-            raise
 
 
 @dataclass
@@ -263,31 +269,27 @@ def exact_distribution(
     evaluator = BatchEvaluator(pop, sizes)
     truth = evaluator.truth
 
-    itt, mr, q_hat = _Moments(3), _Moments(3), _Moments(1)
-    table_parts = [] if keep_table else None
+    itt, mr, q_hat = _Moments(3), _Moments(3), _Moments(1, order=1)
+    table_parts = []
 
     def compute(codes):
-        res = evaluator.evaluate_codes(codes)
-        res["codes"] = codes
-        return res
+        return {**evaluator.evaluate_codes(codes), "codes": codes}
 
-    def merge(res):
-        valid = res["valid"]
-        itt.add(res["itt"][valid] - truth)
-        mr.add(res["mr"][valid] - truth)
-        q_hat.add(res["q_hat"][valid, None])
-        if dump is not None:
-            _dump_rows(dump, _labels(res["codes"]), res)
-        if table_parts is not None:
-            table_parts.append(res)
-
-    with _open_dump(dump_path, "assignment") as dump:
-        _process_in_order(iter_code_batches(sizes, mode, limit), compute, merge, threads)
-        count = itt.count
-        if count == 0:
+    results = _process_in_order(iter_code_batches(sizes, mode, limit), compute, threads)
+    with _open_dump(dump_path, "assignment") as dump, closing(results):
+        for res in results:
+            valid = res["valid"]
+            itt.add(res["itt"][valid] - truth)
+            mr.add(res["mr"][valid] - truth)
+            q_hat.add(res["q_hat"][valid, None])
+            if dump is not None:
+                _dump_rows(dump, _labels(res["codes"]), res)
+            if keep_table:
+                table_parts.append(res)
+        if itt.count == 0:
             raise SingularDesignError("all assignments are singular")
     table = None
-    if table_parts is not None:
+    if keep_table:
         table = AssignmentTable(
             labels=[label for part in table_parts for label in _labels(part["codes"])],
             itt=np.concatenate([p["itt"] for p in table_parts]),
@@ -298,14 +300,14 @@ def exact_distribution(
         )
     return ExactSummary(
         assignment_count=total,
-        singular_count=total - count,
+        singular_count=total - itt.count,
         truth=truth,
         itt_mean=truth + itt.mean,
         itt_bias=itt.mean,
-        itt_cov=itt.m2 / count,
+        itt_cov=itt.m2 / itt.count,
         mr_mean=truth + mr.mean,
         mr_bias=mr.mean,
-        mr_cov=mr.m2 / count,
+        mr_cov=mr.m2 / mr.count,
         mr_z_coef_mean=float(q_hat.mean[0]),
         table=table,
     )
@@ -404,9 +406,8 @@ def monte_carlo(
     az_mean = float(evaluator.products[0].mean())
     n = pop.n
 
-    itt, mr, zeta = _Moments(3), _Moments(3), _Moments(3)
-    q_hat, sigma_hat_sq, nominal = _Moments(1), _Moments(1), _Moments(16)
-    state = {"redraws": 0, "max_dev": 0.0, "written": 0}
+    itt, mr, zeta = _Moments(3), _Moments(3), _Moments(3, order=4)
+    q_hat, sigma_hat_sq, nominal = (_Moments(dim, order=1) for dim in (1, 1, 16))
 
     base_row = np.arange(n, dtype=np.int64)
     chunk_rows = max(1, _DRAW_CHUNK_ELEMENTS // n)
@@ -448,22 +449,21 @@ def monte_carlo(
         res["redraws"] = redraws
         return res
 
-    def merge(res):
-        state["redraws"] += res["redraws"]
-        itt.add(res["itt"] - truth)
-        mr.add(res["mr"] - truth)
-        zeta.add(res["zeta"])
-        q_hat.add(res["q_hat"][:, None])
-        sigma_hat_sq.add(res["sigma_hat_sq"][:, None])
-        nominal.add(res["nominal_cov"].reshape(-1, 16))
-        state["max_dev"] = max(state["max_dev"], float(np.abs(res["sum_az_a"] - az_mean).max()))
-        if dump is not None:
-            _dump_rows(dump, range(state["written"], state["written"] + len(res["q_hat"])), res)
-            state["written"] += len(res["q_hat"])
-
-    jobs = list(enumerate(_batch_sizes(reps, n, batch_size)))
-    with _open_dump(dump_path, "replicate") as dump:
-        _process_in_order(jobs, compute, merge, threads)
+    redraws, max_dev, written = 0, 0.0, 0
+    results = _process_in_order(enumerate(_batch_sizes(reps, n, batch_size)), compute, threads)
+    with _open_dump(dump_path, "replicate") as dump, closing(results):
+        for res in results:
+            redraws += res["redraws"]
+            itt.add(res["itt"] - truth)
+            mr.add(res["mr"] - truth)
+            zeta.add(res["zeta"])
+            q_hat.add(res["q_hat"][:, None])
+            sigma_hat_sq.add(res["sigma_hat_sq"][:, None])
+            nominal.add(res["nominal_cov"].reshape(-1, 16))
+            max_dev = max(max_dev, float(np.abs(res["sum_az_a"] - az_mean).max()))
+            if dump is not None:
+                _dump_rows(dump, range(written, written + len(res["q_hat"])), res)
+                written += len(res["q_hat"])
 
     itt_cov = itt.m2 / (reps - 1)
     mr_cov = mr.m2 / (reps - 1)
@@ -473,7 +473,7 @@ def monte_carlo(
         seed=seed,
         n=n,
         sizes=sizes,
-        singular_redraws=state["redraws"],
+        singular_redraws=redraws,
         truth=truth,
         q_tilde=qt,
         itt_mean=truth + itt.mean,
@@ -491,7 +491,7 @@ def monte_carlo(
         zeta_cov=zeta.m2 / (reps - 1),
         zeta_skewness=zeta_skewness,
         zeta_kurtosis=zeta_kurtosis,
-        max_abs_dev_az_a=state["max_dev"],
+        max_abs_dev_az_a=max_dev,
     )
 
 

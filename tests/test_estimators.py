@@ -16,7 +16,6 @@ from triarm import (
     moment_set,
     mr_estimates,
     mr_via_normal_equations,
-    nominal_covariance,
     normalize_z,
     observed_response,
 )
@@ -215,9 +214,6 @@ class TestNominalCovariance:
         y = observed_response(table_pop, TABLE_ASG)
         est = mr_estimates(table_pop.z, y, TABLE_ASG)
         assert est.sigma_hat_sq == pytest.approx(8 / 3, abs=1e-12)
-        cov, sigma_sq = nominal_covariance(est, 6)
-        assert sigma_sq == pytest.approx(8 / 3, abs=1e-12)
-        np.testing.assert_allclose(cov, est.nominal_cov, atol=1e-13)
 
     def test_perfect_fit_zero_sigma(self):
         rng = np.random.default_rng(31)
@@ -284,8 +280,6 @@ class TestNominalCovariance:
         asg = Assignment.from_labels("ABCC")
         est = mr_estimates(pop.z, observed_response(pop, asg), asg)
         assert est.sigma_hat_sq is None and est.nominal_cov is None
-        with pytest.raises(ValueError, match="insufficient degrees of freedom"):
-            nominal_covariance(est, 4)
 
 
 class TestEffectDifference:

@@ -3,6 +3,7 @@ import dataclasses
 import threading
 import time
 import warnings
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -227,9 +228,9 @@ def whole_batch_monte_carlo(monkeypatch, pop, sizes, reps, seed, **kwargs):
         res["redraws"] = drawn - size
         return res
 
-    def in_order(jobs, _compute, merge, _threads):
+    def in_order(jobs, _compute, _threads):
         for job in jobs:
-            merge(compute(job))
+            yield compute(job)
 
     with monkeypatch.context() as patched:
         patched.setattr(triarm.experiments, "_process_in_order", in_order)
@@ -347,24 +348,35 @@ class TestDumpBytes:
 
 
 class TestProcessInOrder:
-    @pytest.mark.parametrize("threads", [2, 3])
-    def test_failure_cancels_queued_jobs(self, threads):
-        # job 0 fails at once; the others hold their worker for a while,
-        # so by the time the failure is seen every worker is busy and the
-        # rest of the 2 * threads + 1 submitted jobs are still queued
+    @pytest.mark.parametrize(
+        "threads, failing",
+        [
+            pytest.param(2, "job", id="2"),
+            pytest.param(3, "job", id="3"),
+            pytest.param(2, "consumer", id="consumer-2"),
+        ],
+    )
+    def test_failure_cancels_queued_jobs(self, threads, failing):
+        # job 0 fails at once, or returns at once and the consumer fails on
+        # it; the others hold their worker for a while, so by the time the
+        # failure is seen every worker is busy and the rest of the
+        # 2 * threads + 1 submitted jobs are still queued
         started = []
         lock = threading.Lock()
 
         def compute(job):
             with lock:
                 started.append(job)
-            if job == 0:
+            if job == 0 and failing == "job":
                 raise RuntimeError("job 0 failed")
-            time.sleep(0.5)
+            if job:
+                time.sleep(0.5)
             return job
 
-        with pytest.raises(RuntimeError, match="job 0 failed"):
-            _process_in_order(range(20), compute, lambda res: None, threads)
+        results = _process_in_order(range(20), compute, threads)
+        with pytest.raises(RuntimeError, match="job 0 failed"), closing(results):
+            for res in results:
+                raise RuntimeError(f"job {res} failed in the consumer")
         assert len(started) <= 1 + threads
 
 
@@ -401,11 +413,9 @@ class TestThreadCap:
                 pulled.append(job)
                 yield job
 
-        def merge(res):
+        for res in _process_in_order(jobs(), lambda job: job, 10**6):
             in_flight.append(len(pulled) - len(merged))
             merged.append(res)
-
-        _process_in_order(jobs(), lambda job: job, merge, 10**6)
         assert sizes == [3]
         assert merged == list(range(40))
         assert max(in_flight) == 2 * 3 + 1
@@ -525,6 +535,13 @@ class TestMonteCarlo:
 
 
 class TestMomentsAccumulator:
+    @staticmethod
+    def fed(x, order):
+        acc = _Moments(3, order=order)
+        for part in np.split(x, [1, 8, 8, 508]):  # includes an empty batch
+            acc.add(part)
+        return acc
+
     # Tolerances sit 10-50x above the error measured in double precision.  With
     # the offset, the inputs themselves carry eps * 1e4 absolute error;
     # the raw-power-sum rebuild of the third moment misses by ~1e-3 there.
@@ -532,15 +549,24 @@ class TestMomentsAccumulator:
     def test_uneven_batches_match_two_pass(self, offset, rtol):
         rng = np.random.default_rng(0)
         x = rng.gamma(2.0, size=(1000, 3)) + offset
-        acc = _Moments(3)
-        for part in np.split(x, [1, 8, 8, 508]):  # includes an empty batch
-            acc.add(part)
+        acc = self.fed(x, 4)
         d = x - x.mean(axis=0)
         assert acc.count == 1000
         np.testing.assert_allclose(acc.mean, x.mean(axis=0), rtol=1e-14)
         np.testing.assert_allclose(acc.m2, d.T @ d, rtol=rtol)
         np.testing.assert_allclose(acc.m3, (d**3).sum(axis=0), rtol=rtol)
         np.testing.assert_allclose(acc.m4, (d**4).sum(axis=0), rtol=rtol)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e4])
+    def test_lower_orders_keep_the_same_bits(self, offset):
+        x = np.random.default_rng(0).gamma(2.0, size=(1000, 3)) + offset
+        first, second, fourth = (self.fed(x, order) for order in (1, 2, 4))
+        assert first.m2 is None and first.m3 is None and first.m4 is None
+        assert second.m3 is None and second.m4 is None
+        assert first.count == second.count == fourth.count == 1000
+        np.testing.assert_array_equal(first.mean, fourth.mean)
+        np.testing.assert_array_equal(second.mean, fourth.mean)
+        np.testing.assert_array_equal(second.m2, fourth.m2)
 
 
 class TestPatternPopulations:
