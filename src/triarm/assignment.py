@@ -9,9 +9,13 @@ response vector.
 Enumeration unranks: each batch is a contiguous range of ranks, turned
 into label codes by vectorized multiset-permutation unranking in int64
 (mode ``a-before-b`` first shifts its ranks onto ranks among all label
-sequences).  So the order is the plain lexicographic one, no batch
-depends on the one before, and enumeration is refused once the number
-of label sequences times n reaches 2**63.
+sequences).  A batch reads its first ``head`` positions from a prefix
+table, runs the per-position unranking loop over the middle positions,
+and reads its last ``tail`` positions from a suffix table grouped by
+composition; head and tail are at most 8, so memory is one batch plus
+two tables of at most 3**8 rows each.  The order is the plain
+lexicographic one, no batch depends on the one before, and enumeration
+is refused once the number of label sequences times n reaches 2**63.
 
 Randomness contract: generators are built on numpy's Philox bit
 generator (counter-based, splittable).  ``master_generator(seed)`` and
@@ -22,7 +26,7 @@ same seed never overlap.
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -169,22 +173,99 @@ def assignment_count(sizes: GroupSizes, mode: str = "all") -> int:
     return total
 
 
-def _unrank(sizes: GroupSizes, total: int, rank: np.ndarray) -> np.ndarray:
+#: Leading and trailing positions read from the unranking tables; each
+#: table then has at most 3**8 = 6,561 rows, whatever n is.
+_TABLE_POSITIONS = 8
+
+
+class _UnrankTables(NamedTuple):
+    """A design's label sequences of its first and last few positions.
+
+    ``prefixes`` holds every sequence of the first ``head`` positions
+    whose counts fit the group sizes, in lexicographic order; prefix i
+    is shared by ``completions[i]`` label sequences, the ranks
+    ``starts[i]`` onwards, and leaves ``rest_a[i]`` A and ``rest_b[i]``
+    B labels to place.  ``suffixes`` holds every sequence of the last
+    ``tail`` positions, grouped by its A and B counts (k_A, k_B) with
+    each group still lexicographic; group (k_A, k_B) starts at row
+    ``offsets[k_A * (tail + 1) + k_B]``.
+    """
+
+    prefixes: np.ndarray
+    starts: np.ndarray
+    completions: np.ndarray
+    rest_a: np.ndarray
+    rest_b: np.ndarray
+    suffixes: np.ndarray
+    offsets: np.ndarray
+
+
+def _label_sequences(width: int, sizes: GroupSizes):
+    """Label sequences of ``width`` positions within ``sizes``, in order, with A and B counts."""
+    codes = np.indices((3,) * width, dtype=np.int8).reshape(width, -1).T
+    k_a = (codes == 0).sum(axis=1)
+    k_b = (codes == 1).sum(axis=1)
+    fits = (k_a <= sizes.n_a) & (k_b <= sizes.n_b) & (width - k_a - k_b <= sizes.n_c)
+    return codes[fits], k_a[fits], k_b[fits]
+
+
+def _unrank_tables(sizes: GroupSizes) -> _UnrankTables:
+    """The prefix and suffix tables :func:`_unrank` reads for ``sizes``.
+
+    Completion counts are int64, so the caller must first check that all
+    label sequences times n stay below 2**63.
+    """
+    n = sizes.n
+    head = min(n // 2, _TABLE_POSITIONS)
+    tail = min(n - head, _TABLE_POSITIONS)
+    prefixes, k_a, k_b = _label_sequences(head, sizes)
+    rest_a, rest_b = sizes.n_a - k_a, sizes.n_b - k_b
+    # completions of a prefix with k_A A's and k_B B's; each is at most
+    # the number of label sequences, so int64 holds it exactly
+    m = n - head
+    ways = np.zeros((head + 1, head + 1), dtype=np.int64)
+    for a, b in set(zip(k_a.tolist(), k_b.tolist())):
+        rest = sizes.n_a - a
+        ways[a, b] = math.comb(m, rest) * math.comb(m - rest, sizes.n_b - b)
+    completions = ways[k_a, k_b]
+    suffixes, s_a, s_b = _label_sequences(tail, sizes)
+    group = s_a * (tail + 1) + s_b
+    order = np.argsort(group, kind="stable")
+    return _UnrankTables(
+        prefixes=prefixes,
+        starts=np.cumsum(completions) - completions,
+        completions=completions,
+        rest_a=rest_a,
+        rest_b=rest_b,
+        suffixes=suffixes[order],
+        offsets=np.searchsorted(group[order], np.arange((tail + 1) ** 2)),
+    )
+
+
+def _unrank(sizes: GroupSizes, tables: _UnrankTables, rank: np.ndarray) -> np.ndarray:
     """Label codes of the lexicographic int64 ranks in ``rank``, one row each.
 
-    Unranking of multiset permutations (Knuth, TAOCP 4A, 7.2.1.2): of the
-    ``left`` completions that remain after a prefix, ``left * n_A / m``
-    put A next and ``left * n_B / m`` put B next, where ``n_A``, ``n_B``
-    are the labels still to place and ``m`` the positions still open.
-    One pass per position picks A, B or C for every row at once.
-    ``rank`` is used as scratch space: it is overwritten, not copied.
+    Unranking of multiset permutations (Knuth, TAOCP 4A, 7.2.1.2).  The
+    first ``head`` positions come from the prefix table: the last prefix
+    starting at or before a rank is that rank's, and the rank within the
+    prefix's ``left`` completions remains.  Each middle position then
+    takes one pass that picks A, B or C for every row at once: of the
+    ``left`` completions, ``left * n_A / m`` put A next and
+    ``left * n_B / m`` put B next, where ``n_A``, ``n_B`` are the labels
+    still to place and ``m`` the positions still open.  The last
+    ``tail`` positions are row ``rank`` of the suffix group with the
+    remaining A and B counts.
     """
     n, rows = sizes.n, len(rank)
-    left = np.full(rows, total, dtype=np.int64)
-    n_a = np.full(rows, sizes.n_a, dtype=np.int64)
-    n_b = np.full(rows, sizes.n_b, dtype=np.int64)
+    head, tail = tables.prefixes.shape[1], tables.suffixes.shape[1]
+    pid = np.searchsorted(tables.starts, rank, side="right") - 1
+    rank = rank - tables.starts[pid]
+    left = tables.completions[pid]
+    n_a = tables.rest_a[pid]
+    n_b = tables.rest_b[pid]
     codes = np.empty((rows, n), dtype=np.int8)
-    for pos in range(n):
+    _gather_rows(tables.prefixes, pid, codes[:, :head])
+    for pos in range(head, n - tail):
         m = n - pos
         with_a = left * n_a // m
         with_b = left * n_b // m
@@ -197,7 +278,19 @@ def _unrank(sizes: GroupSizes, total: int, rank: np.ndarray) -> np.ndarray:
         left = np.where(past_b, left - with_ab, np.where(past_a, with_b, with_a))
         n_a -= ~past_a
         n_b -= past_a & ~past_b
+    row = tables.offsets[n_a * (tail + 1) + n_b] + rank
+    _gather_rows(tables.suffixes, row, codes[:, n - tail :])
     return codes
+
+
+def _gather_rows(table: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
+    """``out[:] = table[index]``, moving each row as one opaque element.
+
+    Viewing a row of int8 codes as one ``V{width}`` item lets numpy copy
+    it whole instead of one byte at a time.
+    """
+    void = f"V{table.shape[1]}"
+    out.view(void)[:, 0] = table.view(void)[index, 0]
 
 
 def _a_before_b_starts(sizes: GroupSizes) -> np.ndarray:
@@ -224,10 +317,14 @@ def iter_code_batches(
 
     Lexicographic over label sequences with A < B < C; every batch but
     the last holds ``batch_size`` rows and is unranked from its own rank
-    range.  Mode ``a-before-b`` (defined only for n_A == n_B) keeps the
-    assignments whose first A-labeled subject precedes the first B-labeled
-    one, exactly half (swapping A and B pairs each kept assignment with a
-    dropped one); :func:`_a_before_b_starts` shifts its ranks.
+    range.  The prefix and suffix tables (:func:`_unrank_tables`) are
+    built once per call, on the first ``next()``, after both guards
+    below; every batch reads its first and last positions from them and
+    unranks only the positions in between.  Mode ``a-before-b`` (defined
+    only for n_A == n_B) keeps the assignments whose first A-labeled
+    subject precedes the first B-labeled one, exactly half (swapping A
+    and B pairs each kept assignment with a dropped one);
+    :func:`_a_before_b_starts` shifts its ranks.
 
     Raises :class:`EnumerationLimitError` before the first batch when the
     count exceeds ``limit``, or when all label sequences (twice the count
@@ -240,12 +337,13 @@ def iter_code_batches(
     ceiling = (2**63 - 1) // sizes.n // (total // count)
     if count > ceiling:
         raise EnumerationLimitError(count, ceiling, "the int64 rank ceiling")
+    tables = _unrank_tables(sizes)
     starts = _a_before_b_starts(sizes) if mode == "a-before-b" else None
     for lo in range(0, count, batch_size):
         rank = np.arange(lo, min(lo + batch_size, count), dtype=np.int64)
         if starts is not None:
             rank += starts[np.searchsorted(starts, rank, side="right") - 1]
-        yield _unrank(sizes, total, rank)
+        yield _unrank(sizes, tables, rank)
 
 
 def enumerate_assignments(

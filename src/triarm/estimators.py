@@ -253,6 +253,11 @@ class BatchEvaluator:
                         f"n times the sum of squares of {name} is not finite: "
                         "the population's values are too large"
                     )
+        # each group's (n, 4) operand of the mask product in evaluate_codes
+        self.group_columns = tuple(
+            np.column_stack([self.responses[k], self.products[k], self.squares[k], self.z])
+            for k in range(3)
+        )
         # a BLAS dot, not an fsum: it fixes the kernel's output bits
         self.z_sum_sq = float(pop.z @ pop.z)
         self.q_tilde = q_tilde
@@ -272,15 +277,12 @@ class BatchEvaluator:
 
     def evaluate_codes(self, codes: np.ndarray, want_nominal=False):
         codes = np.asarray(codes)
-        z = self.z
         t = np.empty((codes.shape[0], 3))
         g = np.empty_like(t)
         zy = np.empty_like(t)
         ysq = np.zeros(codes.shape[0])
         for k in range(3):
-            mask = (codes == k).astype(np.float64)
-            w = np.column_stack([self.responses[k], self.products[k], self.squares[k], z])
-            sums = mask @ w
+            sums = (codes == k).astype(np.float64) @ self.group_columns[k]
             t[:, k] = sums[:, 0]
             zy[:, k] = sums[:, 1]
             ysq += sums[:, 2]

@@ -8,6 +8,7 @@ deterministic given its seed, so sharing results does not couple tests.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from triarm import (
     GroupSizes,
@@ -21,6 +22,11 @@ from triarm import (
 from triarm.scenarios import curved_response_population, demo_population
 
 THREADS = 2
+
+# every @given test draws the same examples on every run (derandomize
+# also turns off the example database); each keeps its max_examples
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

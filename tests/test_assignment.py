@@ -20,7 +20,7 @@ from triarm import (
     random_assignment,
     worker_generator,
 )
-from triarm.assignment import _a_before_b_starts, _unrank, iter_code_batches
+from triarm.assignment import _a_before_b_starts, _unrank, _unrank_tables, iter_code_batches
 
 
 def _next_multiset_permutation(codes: list) -> bool:
@@ -52,6 +52,30 @@ def reference_code_batches(sizes, mode, batch_size):
             break
     if batch:
         yield np.array(batch, dtype=np.int8)
+
+
+def reference_unrank(sizes, total, rank):
+    """Label codes of int64 ranks, one unranking pass per position."""
+    n, rows = sizes.n, len(rank)
+    rank = rank.copy()
+    left = np.full(rows, total, dtype=np.int64)
+    n_a = np.full(rows, sizes.n_a, dtype=np.int64)
+    n_b = np.full(rows, sizes.n_b, dtype=np.int64)
+    codes = np.empty((rows, n), dtype=np.int8)
+    for pos in range(n):
+        m = n - pos
+        with_a = left * n_a // m
+        with_b = left * n_b // m
+        with_ab = with_a + with_b
+        past_a = rank >= with_a
+        past_b = rank >= with_ab
+        codes[:, pos] = past_a
+        codes[:, pos] += past_b
+        rank -= np.where(past_b, with_ab, np.where(past_a, with_a, 0))
+        left = np.where(past_b, left - with_ab, np.where(past_a, with_b, with_a))
+        n_a -= ~past_a
+        n_b -= past_a & ~past_b
+    return codes
 
 
 def _small_cases(max_n):
@@ -148,7 +172,8 @@ class TestEnumeration:
             assert labels == sorted(labels)
             assert len(set(labels)) == len(labels)
 
-    # one-row batches cost a full unranking pass per row (8 s up to n = 9)
+    # one-row batches cost a table lookup and a comparison per row (1.6 s
+    # up to n = 9, against 0.2 s up to n = 7)
     @pytest.mark.parametrize("batch_size, max_n", [(1, 7), (7, 9), (4096, 9)])
     def test_unranking_matches_reference_loop(self, batch_size, max_n):
         # every size triple up to max_n, in both modes: same batch
@@ -161,16 +186,63 @@ class TestEnumeration:
                 assert g.dtype == np.int8
                 np.testing.assert_array_equal(g, e)
 
+    # n = 16, 17 and 24: the middle loop between the two 8-position
+    # tables runs for 0, 1 and 8 positions
+    @pytest.mark.parametrize(
+        "sizes, mode",
+        [
+            ((6, 5, 5), "all"),
+            ((5, 5, 6), "a-before-b"),
+            ((6, 6, 5), "all"),
+            ((6, 6, 5), "a-before-b"),
+            ((8, 8, 8), "all"),
+            ((8, 8, 8), "a-before-b"),
+        ],
+    )
+    def test_tables_at_their_cap_match_reference_unrank(self, sizes, mode):
+        sizes = GroupSizes(*sizes)
+        total, count = assignment_count(sizes), assignment_count(sizes, mode)
+        tables = _unrank_tables(sizes)
+        assert tables.prefixes.shape[1] == tables.suffixes.shape[1] == 8
+        # each prefix start and the rank before it, as ranks of the mode:
+        # kept block k begins at full rank 2 * starts[k], after starts[k]
+        # kept and as many dropped sequences
+        edges = np.unique(np.concatenate([tables.starts, tables.starts[1:] - 1]))
+        starts = _a_before_b_starts(sizes) if mode == "a-before-b" else np.zeros(1, np.int64)
+        block = np.searchsorted(2 * starts, edges, side="right") - 1
+        kept = edges - starts[block]
+        kept = kept[kept < np.append(starts[1:], count)[block]]
+        rng = np.random.default_rng(2024)
+        kept = np.unique(
+            np.concatenate(
+                [
+                    np.arange(4096),
+                    np.arange(count - 4096, count),
+                    kept,
+                    rng.integers(0, count, 5000),
+                ]
+            )
+        )
+        rank = kept + starts[np.searchsorted(starts, kept, side="right") - 1]
+        given = rank.copy()
+        got = _unrank(sizes, tables, rank)
+        np.testing.assert_array_equal(rank, given)
+        np.testing.assert_array_equal(got, reference_unrank(sizes, total, rank))
+        if mode == "a-before-b":
+            assert (np.argmax(got != 2, axis=1) == np.argmax(got == 0, axis=1)).all()
+
     @pytest.mark.parametrize("limit", [10**40, 10**60])
     def test_int64_rank_ceiling_guard(self, limit, monkeypatch):
         # 120!/(40!)^3 is about 1.2e55: beyond 10**40 the user limit
-        # trips, beyond 2**63 / 120 the int64 rank arithmetic would
+        # trips, beyond 2**63 / 120 the int64 rank arithmetic would, and
+        # so would the tables' completion counts
         sizes = GroupSizes(40, 40, 40)
-        unranked = []
+        unranked, tabled = [], []
         monkeypatch.setattr(triarm.assignment, "_unrank", lambda *args: unranked.append(args))
+        monkeypatch.setattr(triarm.assignment, "_unrank_tables", lambda *args: tabled.append(args))
         with pytest.raises(EnumerationLimitError) as err:
             next(iter_code_batches(sizes, limit=limit))
-        assert unranked == []
+        assert unranked == [] and tabled == []
         count, ceiling = assignment_count(sizes), (2**63 - 1) // 120
         assert err.value.count == count
         assert err.value.limit == (limit if limit < count else ceiling)
@@ -185,7 +257,9 @@ class TestEnumeration:
         total = assignment_count(sizes)
         first = next(iter_code_batches(sizes, limit=total))
         np.testing.assert_array_equal(first, next(reference_code_batches(sizes, "all", 4096)))
-        last = _unrank(sizes, total, np.arange(total - 50, total, dtype=np.int64))
+        tables = _unrank_tables(sizes)
+        assert len(tables.prefixes) <= 3**8 and len(tables.suffixes) <= 3**8
+        last = _unrank(sizes, tables, np.arange(total - 50, total, dtype=np.int64))
         mirror = next(reference_code_batches(GroupSizes(14, 14, 12), "all", 50))
         np.testing.assert_array_equal(last, 2 - mirror[::-1])
         with pytest.raises(EnumerationLimitError, match="int64"):
@@ -202,7 +276,7 @@ class TestEnumeration:
         # comb(27, 14) sequences C^12 B ... that end the full order
         last_rank = count - 1 + _a_before_b_starts(sizes)[-1]
         assert last_rank == total - math.comb(27, 14) - 1
-        last = _unrank(sizes, total, np.array([last_rank], dtype=np.int64))
+        last = _unrank(sizes, _unrank_tables(sizes), np.array([last_rank], dtype=np.int64))
         assert Assignment(last[0]).label_string == "C" * 12 + "A" + "B" * 14 + "A" * 13
         for row in (*first, *last):
             assert row[row != 2][0] == 0
