@@ -44,13 +44,11 @@ from .experiments import (
     order_checks,
 )
 from .population import (
-    ConditionReport,
     MomentSet,
     Population,
     PopulationFormatError,
     additive_effects,
     center_responses,
-    condition_report,
     is_normalized_z,
     load_population,
     moment_set,

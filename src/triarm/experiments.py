@@ -149,18 +149,6 @@ def _process_in_order(jobs, compute, threads: int):
 
 
 @dataclass
-class AssignmentTable:
-    """Per-assignment estimates, in enumeration order."""
-
-    labels: list
-    itt: np.ndarray
-    mr: np.ndarray
-    q_hat: np.ndarray
-    sigma_hat_sq: np.ndarray
-    singular: np.ndarray
-
-
-@dataclass
 class ExactSummary:
     """Exact distribution of both estimators over enumerated assignments.
 
@@ -179,7 +167,6 @@ class ExactSummary:
     mr_bias: np.ndarray
     mr_cov: np.ndarray
     mr_z_coef_mean: float
-    table: AssignmentTable | None = None
 
 
 @contextmanager
@@ -260,17 +247,21 @@ def exact_distribution(
     mode: str = "all",
     limit: int = DEFAULT_ENUMERATION_LIMIT,
     threads: int = 1,
-    keep_table: bool = False,
     dump_path=None,
 ) -> ExactSummary:
-    """Evaluate both estimators on every enumerated assignment."""
+    """Evaluate both estimators on every enumerated assignment.
+
+    Each batch is reduced to moments as it arrives and, with
+    ``dump_path``, written to the dump; no per-assignment estimate is
+    kept.  Raises :class:`SingularDesignError` when every assignment is
+    singular.
+    """
     sizes.validate_for(pop.n)
     total = assignment_count(sizes, mode)  # raises for unknown mode
     evaluator = BatchEvaluator(pop, sizes)
     truth = evaluator.truth
 
     itt, mr, q_hat = _Moments(3), _Moments(3), _Moments(1, order=1)
-    table_parts = []
 
     def compute(codes):
         return {**evaluator.evaluate_codes(codes), "codes": codes}
@@ -278,26 +269,15 @@ def exact_distribution(
     results = _process_in_order(iter_code_batches(sizes, mode, limit), compute, threads)
     with _open_dump(dump_path, "assignment") as dump, closing(results):
         for res in results:
-            valid = res["valid"]
-            itt.add(res["itt"][valid] - truth)
-            mr.add(res["mr"][valid] - truth)
-            q_hat.add(res["q_hat"][valid, None])
+            # a boolean mask copies the batch even when it keeps every row
+            keep = slice(None) if res["valid"].all() else res["valid"]
+            itt.add(res["itt"][keep] - truth)
+            mr.add(res["mr"][keep] - truth)
+            q_hat.add(res["q_hat"][keep, None])
             if dump is not None:
                 _dump_rows(dump, _labels(res["codes"]), res)
-            if keep_table:
-                table_parts.append(res)
         if itt.count == 0:
             raise SingularDesignError("all assignments are singular")
-    table = None
-    if keep_table:
-        table = AssignmentTable(
-            labels=[label for part in table_parts for label in _labels(part["codes"])],
-            itt=np.concatenate([p["itt"] for p in table_parts]),
-            mr=np.concatenate([p["mr"] for p in table_parts]),
-            q_hat=np.concatenate([p["q_hat"] for p in table_parts]),
-            sigma_hat_sq=np.concatenate([p["sigma_hat_sq"] for p in table_parts]),
-            singular=np.concatenate([~p["valid"] for p in table_parts]),
-        )
     return ExactSummary(
         assignment_count=total,
         singular_count=total - itt.count,
@@ -309,24 +289,31 @@ def exact_distribution(
         mr_bias=mr.mean,
         mr_cov=mr.m2 / mr.count,
         mr_z_coef_mean=float(q_hat.mean[0]),
-        table=table,
     )
 
 
-def contrast_symmetry_deviation(summary: ExactSummary, pair=("A", "C")) -> float:
-    """Worst asymmetry of an effect-difference distribution about truth.
+def contrast_symmetry_deviation(pop: Population, sizes: GroupSizes, pair=("A", "C")) -> float:
+    """Worst asymmetry of the adjusted pair contrast about its true value.
 
-    Requires a summary built with ``keep_table=True``.  When the
-    adjusted estimate of the pair contrast is distributed symmetrically
-    about the true difference, the sorted centered values cancel
-    pairwise and this returns roundoff.
+    Enumerates every assignment (mode ``all``) and keeps, per batch, only
+    the adjusted estimate of ``pair[1] - pair[0]`` on the non-singular
+    ones.  When that contrast is distributed symmetrically about the true
+    difference, the sorted centered values cancel pairwise and this
+    returns roundoff.  Raises :class:`SingularDesignError` when every
+    assignment is singular.
     """
-    if summary.table is None:
-        raise ValueError("summary was built without keep_table=True")
+    evaluator = BatchEvaluator(pop, sizes)
     s, t = (GROUP_CODES[g] for g in pair)
-    keep = ~summary.table.singular
-    values = summary.table.mr[keep, t] - summary.table.mr[keep, s]
-    centered = np.sort(values - (summary.truth[t] - summary.truth[s]))
+    parts = []
+    for codes in iter_code_batches(sizes):
+        res = evaluator.evaluate_codes(codes)
+        valid = res["valid"]
+        parts.append(res["mr"][valid, t] - res["mr"][valid, s])
+    values = np.concatenate(parts)
+    if values.size == 0:
+        raise SingularDesignError("all assignments are singular")
+    truth = evaluator.truth
+    centered = np.sort(values - (truth[t] - truth[s]))
     return float(np.abs(centered + centered[::-1]).max())
 
 
@@ -345,9 +332,6 @@ class MCSummary:
     """
 
     replicates: int
-    seed: object
-    n: int
-    sizes: GroupSizes
     singular_redraws: int
     truth: np.ndarray
     q_tilde: float
@@ -470,9 +454,6 @@ def monte_carlo(
     zeta_skewness, zeta_kurtosis = zeta.skewness_kurtosis()
     return MCSummary(
         replicates=reps,
-        seed=seed,
-        n=n,
-        sizes=sizes,
         singular_redraws=redraws,
         truth=truth,
         q_tilde=qt,
@@ -530,20 +511,18 @@ def make_orthogonal_population(n: int, var_b: float = 1.0) -> Population:
     return Population(r1, math.sqrt(var_b) * r2, r3, r4)
 
 
-def make_additive_population(
-    n: int, z_correlation: float = 0.6, shifts: tuple = (0.0, 1.0, 2.0)
-) -> Population:
+def make_additive_population(n: int, z_correlation: float = 0.6) -> Population:
     """Additive-effects population with cov(a, z) = z_correlation.
 
-    Responses share one unit-variance shape plus constant shifts, so
-    adjustment must help the precision of every contrast.
+    Responses share one unit-variance shape plus the constant shifts 0, 1
+    and 2, so adjustment must help the precision of every contrast.
     """
     rho = float(z_correlation)
     if not -1.0 < rho < 1.0:
         raise ValueError("z_correlation must lie strictly between -1 and 1")
     r1, r2, _, _ = _tiled_patterns(n)
     shape = rho * r1 + math.sqrt(1.0 - rho * rho) * r2
-    return Population(shape + shifts[0], shape + shifts[1], shape + shifts[2], r1)
+    return Population(shape, shape + 1.0, shape + 2.0, r1)
 
 
 def make_interaction_population(n: int, var_b: float = 5.0 / 6.0) -> Population:

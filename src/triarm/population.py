@@ -277,40 +277,6 @@ def additive_effects(pop: Population, tol: float = 1e-12) -> bool:
     return float(np.ptp(d1)) <= tol and float(np.ptp(d2)) <= tol
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    """Advisory regularity diagnostics; nothing here hard-fails.
-
-    ``fourth_moment_bound`` is the max over variables of the average
-    fourth absolute moment (the a-priori bound that the asymptotics
-    assume).  The covariate flags use :data:`NORMALIZATION_TOL`.
-    Convergence of moments along a sequence of populations cannot be
-    checked on a single finite population; see
-    :func:`triarm.experiments.order_checks` for the sequence-level
-    diagnostics.
-    """
-
-    mean_z: float
-    mean_sq_z: float
-    fourth_moment_bound: float
-    fractions_ok: bool
-    z_centered_ok: bool
-    z_scaled_ok: bool
-
-
-def condition_report(pop: Population, sizes) -> ConditionReport:
-    sizes.validate_for(pop.n)
-    mean_z, mean_sq_z = z_moments(pop)
-    return ConditionReport(
-        mean_z=mean_z,
-        mean_sq_z=mean_sq_z,
-        fourth_moment_bound=float(moment_set(pop).fourth_abs_moments.max()),
-        fractions_ok=bool(np.all(sizes.counts() > 0)),
-        z_centered_ok=abs(mean_z) <= NORMALIZATION_TOL,
-        z_scaled_ok=abs(mean_sq_z - 1.0) <= NORMALIZATION_TOL,
-    )
-
-
 def load_population(path) -> Population:
     """Read a population from CSV.
 

@@ -218,6 +218,21 @@ class TestAnalyze:
         assert out == ""
         assert err == f"error: TRIARM_THREADS must be at least 1, got {threads}\n"
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--sizes", "1,2"], "--sizes expects three comma-separated counts, got '1,2'"),
+            (["--sizes", "a,b,c"], "bad --sizes 'a,b,c': invalid literal for int()"),
+            (["--sizes", "2,2,2", "--pair", "A"], "--pair expects two of A,B,C, got 'A'"),
+        ],
+    )
+    def test_bad_sizes_or_pair_exit_2(self, capsys, table_csv, flags, message):
+        code, out, err = run_cli(capsys, "analyze", table_csv, *flags)
+        assert code == 2
+        assert out == ""
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "/nonexistent.csv", "--sizes", "2,2,2")
         assert code == 2
@@ -613,6 +628,20 @@ class TestReproduce:
         report = strict_json(out)
         assert report["passed"] is True
         assert report["discrepancy"] is False
+
+    def test_table_format(self, capsys):
+        code, out, _ = run_cli(capsys, "reproduce", "--scenario", "theorem5", "--format", "table")
+        assert code == 0
+        lines = out.splitlines()
+        start = lines.index("rows:")
+        assert lines[start + 1] == "  label                  computed  reference  tolerance  status"
+        assert lines[start + 2].split() == ["bias_a", "0.0000", "0.0000", "1e-12", "pass"]
+        # an info row leaves its reference and tolerance cells blank
+        assert lines[start + 6] == "  singular_count         0                               info"
+        assert lines[-2:] == [
+            "notes:",
+            "  - balanced design + additive effects: adjusted estimator unbiased",
+        ]
 
     def test_table2_discrepancy_note(self, capsys):
         code, out, _ = run_cli(capsys, "reproduce", "--scenario", "table2", "--format", "json")

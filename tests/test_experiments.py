@@ -10,6 +10,7 @@ import pytest
 
 import triarm.experiments
 from triarm import (
+    Assignment,
     GroupSizes,
     Population,
     SingularDesignError,
@@ -25,7 +26,7 @@ from triarm import (
     order_checks,
     prop1_moments,
 )
-from triarm.assignment import assignment_count, worker_generator
+from triarm.assignment import assignment_count, enumerate_assignments, worker_generator
 from triarm.estimators import BatchEvaluator
 from triarm.experiments import _Moments, _process_in_order
 from triarm.scenarios import (
@@ -120,10 +121,11 @@ class TestExactEngine:
 
     def test_balanced_additive_unbiased(self, table_pop):
         pop, _ = normalize_z(table_pop)
-        summary = exact_distribution(pop, GroupSizes(2, 2, 2), keep_table=True)
+        sizes = GroupSizes(2, 2, 2)
+        summary = exact_distribution(pop, sizes)
         np.testing.assert_allclose(summary.mr_bias, 0.0, atol=1e-12)
         for pair in (("A", "B"), ("A", "C"), ("B", "C")):
-            assert contrast_symmetry_deviation(summary, pair) <= 1e-12
+            assert contrast_symmetry_deviation(pop, sizes, pair) <= 1e-12
 
     def test_conditional_constancy_unbiased(self):
         pop, _ = normalize_z(conditional_constancy_population())
@@ -154,17 +156,17 @@ class TestExactEngine:
 
     def test_table_and_dump(self, table_pop, tmp_path):
         path = tmp_path / "dump.csv"
-        summary = exact_distribution(
-            table_pop, GroupSizes(1, 1, 4), keep_table=True, dump_path=path
-        )
-        assert len(summary.table.labels) == 30
-        assert summary.table.labels[0] == "ABCCCC"
+        sizes = GroupSizes(1, 1, 4)
+        summary = exact_distribution(table_pop, sizes, dump_path=path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0][0] == "assignment"
-        assert len(rows) == 31
+        assert len(rows) == 1 + summary.assignment_count == 31
+        assert rows[1][0] == "ABCCCC"
         # full-precision round trip of the first dumped adjusted estimate
-        assert float(rows[1][4]) == summary.table.mr[0, 0]
+        codes = Assignment.from_labels(rows[1][0]).codes[None, :]
+        first = BatchEvaluator(table_pop, sizes).evaluate_codes(codes)
+        assert float(rows[1][4]) == first["mr"][0, 0]
 
     @pytest.mark.parametrize("mode", ["all", "a-before-b"])
     def test_enumerates_through_module_attribute(self, table_pop, monkeypatch, mode):
@@ -307,16 +309,15 @@ class TestDumpBytes:
         rng = np.random.default_rng(4)
         pop, _ = normalize_z(Population(*rng.uniform(-3, 3, size=(4, 11))))
         path = tmp_path / "dump.csv"
-        summary = exact_distribution(
-            pop, GroupSizes(4, 4, 3), mode=mode, keep_table=True, dump_path=path
-        )
+        sizes = GroupSizes(4, 4, 3)
+        summary = exact_distribution(pop, sizes, mode=mode, dump_path=path)
         reference = tmp_path / "reference.csv"
         reference_dump(reference, "assignment", dumped_batches)
         assert len(dumped_batches) > 1
         assert path.read_bytes() == reference.read_bytes()
         with open(reference, newline="") as fh:
             keys = [row[0] for row in csv.reader(fh)][1:]
-        assert summary.table.labels == keys
+        assert keys == [asg.label_string for asg in enumerate_assignments(sizes, mode)]
         assert len(keys) == summary.assignment_count
 
     def test_singular_rows_dump_nan(self, tmp_path, dumped_batches):
@@ -422,18 +423,17 @@ class TestThreadCap:
 
 
 class TestSymmetryHelper:
-    def test_requires_table(self, table_pop):
-        summary = exact_distribution(table_pop, GroupSizes(2, 2, 2))
-        with pytest.raises(ValueError, match="keep_table"):
-            contrast_symmetry_deviation(summary)
-
     def test_detects_asymmetry(self):
         rng = np.random.default_rng(2)
         pop = Population(*rng.uniform(-3, 3, size=(4, 6)))
         pop, _ = normalize_z(pop)
-        summary = exact_distribution(pop, GroupSizes(1, 1, 4), keep_table=True)
         # unbalanced design, generic population: distribution is skewed
-        assert contrast_symmetry_deviation(summary) > 1e-6
+        assert contrast_symmetry_deviation(pop, GroupSizes(1, 1, 4)) > 1e-6
+
+    def test_all_singular_raises(self):
+        pop = Population([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+        with pytest.raises(SingularDesignError, match="all assignments are singular"):
+            contrast_symmetry_deviation(pop, GroupSizes(1, 1, 1))
 
 
 @pytest.mark.filterwarnings("ignore:q_tilde")

@@ -7,12 +7,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from triarm import (
-    GroupSizes,
     Population,
     PopulationFormatError,
     additive_effects,
     center_responses,
-    condition_report,
     load_population,
     moment_set,
     normalize_z,
@@ -389,26 +387,3 @@ class TestAdditivity:
         b = table_pop.b.copy()
         b[2] += 0.5
         assert not additive_effects(Population(table_pop.a, b, table_pop.c, table_pop.z))
-
-
-class TestConditionReport:
-    def test_raw_z_not_scaled(self, table_pop):
-        report = condition_report(table_pop, GroupSizes(2, 2, 2))
-        assert report.z_centered_ok
-        assert not report.z_scaled_ok
-        assert report.mean_sq_z == pytest.approx(4.0)
-
-    def test_normalized_z_ok(self, table_pop):
-        normalized, _ = normalize_z(table_pop)
-        report = condition_report(normalized, GroupSizes(1, 1, 4))
-        assert report.z_centered_ok and report.z_scaled_ok
-        assert report.fractions_ok
-
-    def test_fourth_moment_bound(self, table_pop):
-        report = condition_report(table_pop, GroupSizes(2, 2, 2))
-        # c has the largest fourth moments in the table population
-        assert report.fourth_moment_bound == pytest.approx(float(np.mean(table_pop.c**4)))
-
-    def test_size_mismatch_rejected(self, table_pop):
-        with pytest.raises(ValueError, match="size mismatch"):
-            condition_report(table_pop, GroupSizes(2, 2, 3))
