@@ -190,9 +190,16 @@ def _default_threads() -> int:
 def _prepare_population(args):
     if args.replicate < 1:
         raise ValueError(f"--replicate must be at least 1, got {args.replicate}")
-    pop = replicate(load_population(args.population), args.replicate)
+    pop = load_population(args.population)
     sizes = _parse_sizes(args.sizes)
-    sizes.validate_for(pop.n)
+    n = pop.n * args.replicate
+    sizes.validate_for(n)  # before tiling, so a mismatched factor allocates nothing
+    try:
+        pop = replicate(pop, args.replicate)
+    except (OverflowError, MemoryError):
+        raise ValueError(
+            f"--replicate {args.replicate} is too large: {n} subjects do not fit in memory"
+        ) from None
     notes = []
     applied = None
     if is_normalized_z(pop):

@@ -23,6 +23,7 @@ moments may be infinite.
 import csv
 import functools
 import math
+import warnings
 from array import array
 from dataclasses import dataclass
 
@@ -133,10 +134,10 @@ class MomentSet:
 
 def _fsum_mean(values: np.ndarray, label: str | None = None) -> float:
     """Correctly rounded mean; with a ``label``, a non-finite mean raises naming it."""
-    # fsum of a list is the same correctly rounded sum, and faster than
-    # iterating over numpy scalars
+    # a memoryview yields the same Python floats in the same order as
+    # tolist(), strided arrays included, without building a list
     try:
-        mean = math.fsum(values.tolist()) / values.size
+        mean = math.fsum(memoryview(values)) / values.size
     except OverflowError:  # finite terms summing past the float range
         mean = math.inf
     except ValueError:  # terms that overflowed to both inf and -inf
@@ -284,48 +285,95 @@ def load_population(path) -> Population:
     must name exactly the columns ``a,b,c,z`` (any order); every body
     cell must parse as a finite decimal number.  Rows are kept in file
     order.
+
+    The body is parsed one of two ways, with the same result.  numpy's C
+    reader (:func:`_numpy_body`) takes it first, and its table is kept
+    only if every non-empty line gave ``a,b,c,z``'s width in finite
+    values.  Anything else (quotes, blank or ragged rows, underscores,
+    non-ASCII digits, bad or non-finite cells) falls back to a
+    ``csv.reader`` row loop (:func:`_csv_body`), which decides what is
+    accepted and words every error.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise PopulationFormatError("empty file: missing header row") from None
-        names = [cell.strip() for cell in header]
-        for name in names:
-            if name not in VARIABLES:
-                raise PopulationFormatError(f"unexpected column {name!r}", column=name)
-            if names.count(name) > 1:
-                raise PopulationFormatError(f"duplicate column {name!r}", column=name)
-        for required in VARIABLES:
-            if required not in names:
-                raise PopulationFormatError(f"missing column {required!r}", column=required)
-
-        width = len(names)
-        values = array("d")
-        row_index = 0
-        for row in reader:
-            # fast path: a full row of finite numbers.  float() strips the
-            # same whitespace as str.strip() except U+001C..U+001F, which
-            # only str.strip() removes; a cell holding them misses this
-            # path and _parse_row accepts it
-            if len(row) == width:
-                try:
-                    cells = list(map(float, row))
-                except ValueError:
-                    cells = None
-                if cells is not None and all(map(math.isfinite, cells)):
-                    row_index += 1
-                    values.extend(cells)
-                    continue
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            row_index += 1
-            values.extend(_parse_row(row, names, row_index))
-        if row_index == 0:
-            raise PopulationFormatError("empty body")
-    table = np.frombuffer(values, dtype=np.float64).reshape(row_index, width)
+        names = _read_header(csv.reader(fh))
+        table = _numpy_body(fh, len(names))
+    if table is None:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            next(reader)  # the header, checked above
+            table = _csv_body(reader, names)
     return Population(*(table[:, names.index(name)] for name in VARIABLES))
+
+
+def _read_header(reader) -> list:
+    """Column names of the header row, checked to be ``a,b,c,z`` in some order."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise PopulationFormatError("empty file: missing header row") from None
+    names = [cell.strip() for cell in header]
+    for name in names:
+        if name not in VARIABLES:
+            raise PopulationFormatError(f"unexpected column {name!r}", column=name)
+        if names.count(name) > 1:
+            raise PopulationFormatError(f"duplicate column {name!r}", column=name)
+    for required in VARIABLES:
+        if required not in names:
+            raise PopulationFormatError(f"missing column {required!r}", column=required)
+    return names
+
+
+def _numpy_body(fh, width):
+    """The rest of ``fh`` as a ``(rows, width)`` table, or None to fall back.
+
+    numpy accepts a subset of what :func:`_csv_body` accepts, with the
+    same bits.  Without a quote character, both split lines at commas
+    and at line feeds, CR LF pairs or lone carriage returns; numpy skips
+    only empty lines, which the row loop skips too.  numpy strips the
+    same whitespace as ``str.strip`` and converts the ASCII rest with
+    the correctly rounded parser ``float`` uses, and it refuses quotes,
+    underscores and non-ASCII digits, which ``float`` would take.
+    """
+    try:
+        with warnings.catch_warnings():
+            # "input contained no data" on a header-only file
+            warnings.simplefilter("ignore")
+            table = np.loadtxt(
+                fh, delimiter=",", comments=None, quotechar=None, dtype=np.float64, ndmin=2
+            )
+    except ValueError:  # a bad or ragged cell, or bytes that are not UTF-8
+        return None
+    if table.shape[0] == 0 or table.shape[1] != width or not np.isfinite(table).all():
+        return None
+    return table
+
+
+def _csv_body(reader, names) -> np.ndarray:
+    """The remaining rows of ``reader`` as a table, raising on the first bad row."""
+    width = len(names)
+    values = array("d")
+    row_index = 0
+    for row in reader:
+        # fast path: a full row of finite numbers.  float() strips the
+        # same whitespace as str.strip() except U+001C..U+001F, which
+        # only str.strip() removes; a cell holding them misses this
+        # path and _parse_row accepts it
+        if len(row) == width:
+            try:
+                cells = list(map(float, row))
+            except ValueError:
+                cells = None
+            if cells is not None and all(map(math.isfinite, cells)):
+                row_index += 1
+                values.extend(cells)
+                continue
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        row_index += 1
+        values.extend(_parse_row(row, names, row_index))
+    if row_index == 0:
+        raise PopulationFormatError("empty body")
+    return np.frombuffer(values, dtype=np.float64).reshape(row_index, width)
 
 
 def _parse_row(row, names, row_index) -> list:

@@ -238,6 +238,14 @@ class TestAnalyze:
         assert code == 2
         assert "error:" in err
 
+    def test_header_only_prints_only_the_error(self, tmp_path):
+        # numpy's reader warns "input contained no data" before the fallback
+        path = write_population(tmp_path, "a,b,c,z\n")
+        result = run_cli_process("analyze", path, "--sizes", "1,1,1")
+        assert result.returncode == 2
+        assert result.stderr == "error: empty body\n"
+        assert result.stdout == ""
+
     def test_replicate_flag(self, capsys, table_csv):
         code, out, _ = run_cli(
             capsys,
@@ -260,6 +268,32 @@ class TestAnalyze:
         assert code == 2
         assert out == ""
         assert f"--replicate must be at least 1, got {factor}" in err
+
+    # only inputs refused before anything is allocated: a factor that fits
+    # in int64 with matching sizes would try to tile the population
+    HUGE = str(10**20)
+
+    @pytest.mark.parametrize("command", ["analyze", "enumerate", "simulate"])
+    def test_replicate_checked_against_sizes_before_tiling(self, capsys, table_csv, command):
+        extra = ("--reps", "100", "--seed", "1") if command == "simulate" else ()
+        code, out, err = run_cli(
+            capsys, command, table_csv, "--sizes", "2,2,2", "--replicate", self.HUGE, *extra
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: size mismatch: group sizes sum to 6, population has {6 * 10**20} subjects\n"
+
+    @pytest.mark.parametrize("command", ["analyze", "enumerate", "simulate"])
+    def test_replicate_too_large_to_tile_exit_2(self, capsys, table_csv, command):
+        extra = ("--reps", "100", "--seed", "1") if command == "simulate" else ()
+        sizes = ",".join([str(2 * 10**20)] * 3)
+        code, out, err = run_cli(
+            capsys, command, table_csv, "--sizes", sizes, "--replicate", self.HUGE, *extra
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: --replicate {self.HUGE} is too large")
+        assert "Traceback" not in err
 
 
 class TestDumpTarget:

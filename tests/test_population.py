@@ -1,5 +1,6 @@
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from triarm import (
     load_population,
     moment_set,
     normalize_z,
+    population,
     replicate,
 )
 from triarm.population import VARIABLES, is_normalized_z, z_moments
@@ -86,6 +88,8 @@ _NUMBER_TEXT = st.one_of(
     st.integers(-10**20, 10**20).map(str),
     st.sampled_from(["-0.0", "1e-320", "1_0", ".5", "5.", "+3", "1E5", "1e308"]),
 )
+# what numpy's reader takes too: float() alone accepts underscores
+_PLAIN_NUMBER_TEXT = _NUMBER_TEXT.filter(lambda text: "_" not in text)
 _BAD_TEXT = st.sampled_from(
     ["", " ", "x", "0x10", "nan", "NaN", "inf", "-Infinity", "1e999", "-1e999", "1..2", "\u2003"]
 )
@@ -115,6 +119,18 @@ def population_csv_texts(draw):
     bom = draw(st.sampled_from(["", "\ufeff"]))
     end = draw(st.sampled_from(["\n", "\r\n"]))
     return bom + end.join([header, *rows]) + draw(st.sampled_from(["", end]))
+
+
+@st.composite
+def well_formed_csv_texts(draw):
+    """CSV texts whose body rows all hold four plain numbers, with empty lines between."""
+    names = draw(st.permutations(VARIABLES))
+    header = ",".join(draw(_PADDING) + name + draw(_PADDING) for name in names)
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    cell = st.tuples(_PADDING, _PLAIN_NUMBER_TEXT, _PADDING).map("".join)
+    rows = draw(st.lists(st.tuples(cell, cell, cell, cell).map(",".join), min_size=1, max_size=40))
+    rows = [row + end * draw(st.integers(0, 1)) for row in rows]
+    return end.join([header, *rows]) + draw(st.sampled_from(["", end]))
 
 
 def _load_outcome(loader, path):
@@ -149,8 +165,11 @@ class TestLoad:
         np.testing.assert_array_equal(pop.z, [4, 8])
 
     def test_header_only_is_empty_body(self, tmp_path):
-        with pytest.raises(PopulationFormatError, match="empty body"):
-            load_population(write_csv(tmp_path, "a,b,c,z\n"))
+        # with no warning: numpy's reader warns "input contained no data"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PopulationFormatError, match="empty body"):
+                load_population(write_csv(tmp_path, "a,b,c,z\n"))
 
     def test_nan_cell_named(self, tmp_path):
         with pytest.raises(PopulationFormatError, match="row 2, column 'c'"):
@@ -178,15 +197,68 @@ class TestLoad:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(text=population_csv_texts())
-    # str.strip() removes U+001F but float() rejects it: the fast path
-    # misses this cell and the cell-by-cell parse must accept it
+    # str.strip() removes U+001F but float() rejects it: the row loop's
+    # fast path misses this cell and the cell-by-cell parse must accept it
     @example(text="a,b,c,z\n\x1f1.5,2,3,4\n")
+    # boundaries of numpy's reader: each must fall back, or agree
+    @example(text='a,b,c,z\n"1.5",2,3,4\n')
+    @example(text="a,b,c,z\n1,2,3,4\n  \n , , \n5,6,7,8\n")
+    @example(text="a,b,c,z\r1,2,3,4\r5,6,7,8\r")
+    @example(text="a,b,c,z\n1,2,3,4,\n")
+    @example(text="a,b,c,z\n1,2,3,4\n#5,6,7,8\n")
+    @example(text="a,b,c,z\n1,2,3\n4,5,6\n")
+    @example(text="a,b,c,z\n1,2,3,4\nnan,2,3,4\n")
+    @example(text="a,b,c,z\n1,1e400,3,4\n")
+    @example(text="a,b,c,z\n\u20031.5\u2003,2,\x1c3\x1c,4\n")
+    @example(text="a,b,c,z\n\u0661,2,3,4\n")
+    @example(text="a,b,c,z\n1_0,2,3,4\n")
+    @example(text="\ufeffa,b,c,z\n1,2,3,4\n")
+    @example(text="a,b,c,z\n1,2,3,4")
+    @example(text="a,b,c,z\n1,2,3,4\n\n\n5,6,7,8\n")
+    @example(text='a,b,c,"z\n"\n1,2,3,4\n')
     def test_matches_reference_loader(self, tmp_path, text):
         # bit-equal columns, or the same message, row and column
         path = write_csv(tmp_path, text)
         assert _load_outcome(load_population, path) == _load_outcome(
             reference_load_population, path
         )
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(text=well_formed_csv_texts())
+    def test_well_formed_matches_reference_loader(self, tmp_path, text):
+        path = write_csv(tmp_path, text)
+        assert _load_outcome(load_population, path) == _load_outcome(
+            reference_load_population, path
+        )
+
+    def test_random_bits_round_trip(self, tmp_path):
+        # 2,000 rows of random doubles, a quarter of them subnormal,
+        # written with repr: loading must give back every bit
+        bits = np.random.default_rng(20).integers(0, 2**64, size=(2000, 4), dtype=np.uint64)
+        bits[::4] &= np.uint64(0x800F_FFFF_FFFF_FFFF)
+        values = bits.view(np.float64)
+        values[~np.isfinite(values)] = 1.0
+        lines = [",".join(map(repr, row)) for row in values.tolist()]
+        path = write_csv(tmp_path, "\n".join(["a,b,c,z", *lines]) + "\n")
+        pop = load_population(path)
+        for i, name in enumerate(VARIABLES):
+            assert pop.variable(name).tobytes() == values[:, i].tobytes()
+        assert _load_outcome(load_population, path) == _load_outcome(
+            reference_load_population, path
+        )
+
+    def test_well_formed_file_skips_row_loop(self, tmp_path, monkeypatch):
+        def refuse(reader, names):
+            raise AssertionError("a well-formed file reached the csv row loop")
+
+        monkeypatch.setattr(population, "_csv_body", refuse)
+        pop = load_population(write_csv(tmp_path, "z,c,a,b\n1, 3 ,1,2\r\n\r\n-1,4,2,3\n"))
+        np.testing.assert_array_equal(pop.a, [1, 2])
+        np.testing.assert_array_equal(pop.z, [1, -1])
 
 
 class TestPopulation:
