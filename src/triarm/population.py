@@ -22,6 +22,7 @@ moments may be infinite.
 
 import csv
 import functools
+import io
 import math
 import warnings
 from array import array
@@ -286,22 +287,34 @@ def load_population(path) -> Population:
     cell must parse as a finite decimal number.  Rows are kept in file
     order.
 
-    The body is parsed one of two ways, with the same result.  numpy's C
-    reader (:func:`_numpy_body`) takes it first, and its table is kept
-    only if every non-empty line gave ``a,b,c,z``'s width in finite
-    values.  Anything else (quotes, blank or ragged rows, underscores,
-    non-ASCII digits, bad or non-finite cells) falls back to a
-    ``csv.reader`` row loop (:func:`_csv_body`), which decides what is
-    accepted and words every error.
+    The file is opened once, and its body is parsed one of two ways with
+    the same result.  numpy's C reader (:func:`_numpy_body`) takes it
+    first, and its table is kept only if every non-empty line gave
+    ``a,b,c,z``'s width in finite values.  Anything else (quotes, blank
+    or ragged rows, underscores, non-ASCII digits, bad or non-finite
+    cells) rewinds the handle for a ``csv.reader`` row loop
+    (:func:`_csv_body`), which decides what is accepted and words every
+    error.  A stream that cannot rewind, such as a pipe, is read into
+    memory first, so it loads like the same bytes in a regular file.
+
+    Cells of any length are read: the call raises
+    ``csv.field_size_limit`` and restores it on return.  The limit is
+    process-wide, so ``csv`` readers in other threads see it meanwhile.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        names = _read_header(csv.reader(fh))
-        table = _numpy_body(fh, len(names))
-    if table is None:
+    limit = csv.field_size_limit(2**31 - 1)  # fits a C long on every platform
+    try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            next(reader)  # the header, checked above
-            table = _csv_body(reader, names)
+            if not fh.seekable():
+                fh = io.StringIO(fh.read(), newline="")
+            names = _read_header(csv.reader(fh))
+            table = _numpy_body(fh, len(names))
+            if table is None:
+                fh.seek(0)
+                reader = csv.reader(fh)
+                next(reader)  # the header, checked above
+                table = _csv_body(reader, names)
+    finally:
+        csv.field_size_limit(limit)
     return Population(*(table[:, names.index(name)] for name in VARIABLES))
 
 
@@ -349,56 +362,39 @@ def _numpy_body(fh, width):
 
 
 def _csv_body(reader, names) -> np.ndarray:
-    """The remaining rows of ``reader`` as a table, raising on the first bad row."""
+    """The remaining rows of ``reader``, skipping blank ones, parsed cell by cell.
+
+    The first bad cell in file order is the one reported.
+    """
     width = len(names)
     values = array("d")
     row_index = 0
     for row in reader:
-        # fast path: a full row of finite numbers.  float() strips the
-        # same whitespace as str.strip() except U+001C..U+001F, which
-        # only str.strip() removes; a cell holding them misses this
-        # path and _parse_row accepts it
-        if len(row) == width:
-            try:
-                cells = list(map(float, row))
-            except ValueError:
-                cells = None
-            if cells is not None and all(map(math.isfinite, cells)):
-                row_index += 1
-                values.extend(cells)
-                continue
         if not row or all(not cell.strip() for cell in row):
             continue
         row_index += 1
-        values.extend(_parse_row(row, names, row_index))
+        if len(row) != width:
+            raise PopulationFormatError(
+                f"row {row_index}: expected {width} cells, found {len(row)}",
+                row=row_index,
+            )
+        for name, cell in zip(names, row):
+            text = cell.strip()
+            try:
+                value = float(text)
+            except ValueError:
+                raise PopulationFormatError(
+                    f"row {row_index}, column {name!r}: not a number: {text!r}",
+                    row=row_index,
+                    column=name,
+                ) from None
+            if not math.isfinite(value):
+                raise PopulationFormatError(
+                    f"row {row_index}, column {name!r}: non-finite value {text!r}",
+                    row=row_index,
+                    column=name,
+                )
+            values.append(value)
     if row_index == 0:
         raise PopulationFormatError("empty body")
     return np.frombuffer(values, dtype=np.float64).reshape(row_index, width)
-
-
-def _parse_row(row, names, row_index) -> list:
-    """Cell-by-cell parse of one body row, raising on the first bad cell."""
-    if len(row) != len(names):
-        raise PopulationFormatError(
-            f"row {row_index}: expected {len(names)} cells, found {len(row)}",
-            row=row_index,
-        )
-    out = []
-    for name, cell in zip(names, row):
-        text = cell.strip()
-        try:
-            value = float(text)
-        except ValueError:
-            raise PopulationFormatError(
-                f"row {row_index}, column {name!r}: not a number: {text!r}",
-                row=row_index,
-                column=name,
-            ) from None
-        if not math.isfinite(value):
-            raise PopulationFormatError(
-                f"row {row_index}, column {name!r}: non-finite value {text!r}",
-                row=row_index,
-                column=name,
-            )
-        out.append(value)
-    return out

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import triarm
 from triarm import GroupSizes, load_population, normalize_z, population, q_tilde, theory_report
@@ -700,3 +703,120 @@ class TestReproduce:
             main(["reproduce", "--scenario", "bogus"])
         assert err.value.code == 2
         assert "table2" in capsys.readouterr().err
+
+
+# cells whose squares, products or fourth powers leave the double range
+_EXTREME_CELLS = ["1e100", "-1e100", "1e154", "1e200"]
+_CELL_VALUES = st.one_of(st.integers(-5, 5).map(str), st.floats(-10, 10, allow_nan=False).map(repr))
+# past csv's default field limit of 131,072 characters
+_LONG_PADDING = " " * 140_000
+# at most one edge per case, so that most cases run to the end
+_EDGES = ["none"] * 6 + [
+    "duplicate rows",
+    "constant z",
+    "collinear z",
+    "extreme column",
+    "ragged row",
+    "zero group",
+    "size mismatch",
+    "one group of one",
+    "limit",
+    "one rep",
+    "require normalized",
+    "a-before-b",
+]
+
+
+@st.composite
+def cli_cases(draw):
+    """A tiny population CSV, one subcommand's argv for it, and a thread count above 1."""
+    edge = draw(st.sampled_from(_EDGES))
+    n = draw(st.integers(3, 8))
+    rows = [draw(st.lists(_CELL_VALUES, min_size=4, max_size=4)) for _ in range(n)]
+    for row in rows:
+        if edge == "duplicate rows":
+            row[:] = rows[0]
+        elif edge == "constant z":
+            row[3] = rows[0][3]
+        elif edge == "collinear z":
+            row[3] = row[0]
+        elif edge == "extreme column":
+            row[0] = draw(st.sampled_from(_EXTREME_CELLS))
+    if edge == "ragged row":
+        rows[-1].append("1")
+    # padded, quoted and BOM-led files read like plain ones
+    if draw(st.integers(0, 19)) == 19:  # Hypothesis favours 0: the rare branch is the top
+        rows[0][0] = _LONG_PADDING + rows[0][0]
+    for row in rows:
+        if draw(st.booleans()):
+            k = draw(st.integers(0, 3))
+            row[k] = f'"{row[k]}"'
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    text = bom + "\n".join(["a,b,c,z", *map(",".join, rows)]) + "\n"
+
+    command = draw(st.sampled_from(["analyze", "enumerate", "simulate"]))
+    replicate = draw(st.integers(1, 3))
+    total = n * replicate
+    if edge == "zero group":
+        sizes = (0, 1, total - 1)
+    elif edge == "size mismatch":
+        sizes = (1, 1, total - 1)
+    elif edge == "one group of one":
+        sizes = draw(st.permutations([1, 1, total - 2]))
+    else:
+        first = draw(st.integers(1, total - 2))
+        second = draw(st.integers(1, total - first - 1))
+        sizes = (first, second, total - first - second)
+    argv = [
+        command,
+        "POP",
+        "--sizes",
+        ",".join(map(str, sizes)),
+        "--replicate",
+        str(replicate),
+        "--normalize",
+        "require" if edge == "require normalized" else draw(st.sampled_from(["auto", "off"])),
+        "--format",
+        draw(st.sampled_from(["table", "csv", "json"])),
+    ]
+    if command == "enumerate":
+        limit = draw(st.sampled_from([0, 1, 20])) if edge == "limit" else 2000
+        argv += ["--limit", str(limit), "--mode", "a-before-b" if edge == "a-before-b" else "all"]
+    elif command == "simulate":
+        reps = 1 if edge == "one rep" else draw(st.integers(2, 50))
+        argv += ["--reps", str(reps), "--seed", str(draw(st.integers(0, 3)))]
+    return text, argv, draw(st.integers(2, 3))
+
+
+def _run_main_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestAnyInput:
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(case=cli_cases())
+    # a long cell in a file that the csv row loop parses
+    @example(
+        case=(
+            f'a,b,c,z\n{_LONG_PADDING}1,2,3,4\n"5",6,7,8\n2,3,4,9\n',
+            ["analyze", "POP", "--sizes", "1,1,1", "--format", "json"],
+            2,
+        )
+    )
+    def test_clean_exit_and_thread_independent_stdout(self, tmp_path, case):
+        text, argv, threads = case
+        path = write_population(tmp_path, text)
+        argv = [path if arg == "POP" else arg for arg in argv]
+        code, out, err = _run_main_captured([*argv, "--threads", "1"])
+        assert code in (0, 2, 3), err
+        assert "Traceback" not in err
+        if code == 0 and "json" in argv:
+            strict_json(out)
+        assert _run_main_captured([*argv, "--threads", str(threads)])[:2] == (code, out)

@@ -1,5 +1,6 @@
 import csv
 import math
+import os
 import warnings
 
 import numpy as np
@@ -141,6 +142,15 @@ def _load_outcome(loader, path):
     return ("ok", *(pop.variable(name).tobytes() for name in VARIABLES))
 
 
+@pytest.fixture()
+def field_limit():
+    """A ``csv.field_size_limit`` no load sets, so a load that leaves its own shows."""
+    limit = 100_000
+    previous = csv.field_size_limit(limit)
+    yield limit
+    csv.field_size_limit(previous)
+
+
 class TestLoad:
     def test_table_values(self, tmp_path):
         path = write_csv(
@@ -197,8 +207,8 @@ class TestLoad:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(text=population_csv_texts())
-    # str.strip() removes U+001F but float() rejects it: the row loop's
-    # fast path misses this cell and the cell-by-cell parse must accept it
+    # str.strip() removes U+001F but float() alone rejects it: the cell
+    # is stripped before it is parsed, so it must load
     @example(text="a,b,c,z\n\x1f1.5,2,3,4\n")
     # boundaries of numpy's reader: each must fall back, or agree
     @example(text='a,b,c,z\n"1.5",2,3,4\n')
@@ -259,6 +269,53 @@ class TestLoad:
         pop = load_population(write_csv(tmp_path, "z,c,a,b\n1, 3 ,1,2\r\n\r\n-1,4,2,3\n"))
         np.testing.assert_array_equal(pop.a, [1, 2])
         np.testing.assert_array_equal(pop.z, [1, -1])
+
+    # a cell past csv's default field limit of 131,072 characters
+    LONG_PADDING = " " * 140_000
+
+    @pytest.mark.parametrize(
+        "text, twin",
+        [
+            # numpy reads the body; the header goes through csv
+            (f"a,b,c,{LONG_PADDING}z\n1,2,3,4\n5,6,7,8\n", "a,b,c,z\n1,2,3,4\n5,6,7,8\n"),
+            # the quoted cell sends the whole body to the row loop
+            (
+                f'a,b,c,z\n{LONG_PADDING}1,2,3,4\n"5",6,7,8\n2,3,4,9\n',
+                "a,b,c,z\n1,2,3,4\n5,6,7,8\n2,3,4,9\n",
+            ),
+        ],
+        ids=["header", "fallback body"],
+    )
+    def test_long_cell_loads_like_short_twin(self, tmp_path, field_limit, text, twin):
+        long_path = write_csv(tmp_path, text, "long.csv")
+        short_path = write_csv(tmp_path, twin, "short.csv")
+        assert _load_outcome(load_population, long_path) == _load_outcome(
+            load_population, short_path
+        )
+        assert csv.field_size_limit() == field_limit
+
+    def test_field_limit_restored_after_error(self, tmp_path, field_limit):
+        path = write_csv(tmp_path, f'a,b,c,z\n{self.LONG_PADDING}1,2,3,4\n"x",6,7,8\n')
+        with pytest.raises(PopulationFormatError, match="row 2, column 'a'"):
+            load_population(path)
+        assert csv.field_size_limit() == field_limit
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd on this platform")
+    @pytest.mark.parametrize(
+        "text",
+        ["\ufeffa,b,c,z\r\n1,2,3,4\r\n5,6,7,8\r\n", 'a,b,c,z\n1,2,3,4\n"5",6,7,8\n2,3,4,9\n'],
+        ids=["well formed", "quoted cell"],
+    )
+    def test_pipe_loads_like_regular_file(self, tmp_path, text):
+        read_end, write_end = os.pipe()
+        # far below a pipe's buffer, so the write never blocks
+        os.write(write_end, text.encode("utf-8"))
+        os.close(write_end)
+        try:
+            piped = _load_outcome(load_population, f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        assert piped == _load_outcome(load_population, write_csv(tmp_path, text))
 
 
 class TestPopulation:
