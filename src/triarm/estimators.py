@@ -13,7 +13,10 @@ independent computation routes are provided and cross-checked in tests:
   row by its Schur complement solves it in closed form from raw group
   sums.  One batched kernel implements it: :class:`BatchEvaluator` runs
   it over many assignments for the engines, and
-  :func:`mr_via_normal_equations` is its one-row call.
+  :func:`mr_via_normal_equations` is its one-row call.  Group sums
+  travel as one (m,) column per group and are added as
+  ``0.0 + A + B + C``, left to right, which is numpy's row-wise sum of
+  three: its +0.0 start makes three -0.0 terms sum to +0.0.
 
 Both return the same :class:`MREstimate` contract, including the
 conventional ("nominal") covariance matrix, which randomization does
@@ -118,20 +121,25 @@ def _xtx_inverse(counts: np.ndarray, zbar: np.ndarray, f_sq: np.ndarray) -> np.n
 def _group_sum_regression(t, g, u, ysq, zsq, counts, n, want_nominal=False) -> dict:
     """Both estimators for m assignments from their raw group sums.
 
-    ``t`` and ``g`` are (m, 3) per-group sums of Y and z, ``u`` and
-    ``ysq`` are (m,) sums of zY and Y^2, ``zsq`` is the sum of z^2 and
-    ``counts`` the float group counts.  Rows whose design is singular
-    come back with ``valid`` False and NaN estimates.  ``sigma_hat_sq``
-    (and so ``nominal_cov``) is NaN when n <= 4.
+    ``t`` and ``g`` are each three per-group (m,) columns, the sums of Y
+    and z; ``u`` and ``ysq`` are (m,) sums of zY and Y^2, ``zsq`` is the
+    sum of z^2 and ``counts`` the float group counts.  Rows whose design
+    is singular come back with ``valid`` False and NaN estimates.
+    ``sigma_hat_sq`` (and so ``nominal_cov``) is NaN when n <= 4.
     """
-    ybar = t / counts
-    zbar = g / counts
-    f_sq = zsq - (g * g / counts).sum(axis=1)
+
+    def over_groups(x, y):
+        # numpy's row-wise sum of three: +0.0, then A, B, C, left to right
+        return 0.0 + x[0] * y[0] / counts[0] + x[1] * y[1] / counts[1] + x[2] * y[2] / counts[2]
+
+    ybar = np.column_stack(t) / counts
+    zbar = np.column_stack(g) / counts
+    f_sq = zsq - over_groups(g, g)
     valid = f_sq > SINGULARITY_TOL * n
     safe_f = np.where(valid, f_sq, np.nan)
-    ef = u - (g * t / counts).sum(axis=1)
+    ef = u - over_groups(g, t)
     q = ef / safe_f
-    e_sq = ysq - (t * t / counts).sum(axis=1)
+    e_sq = ysq - over_groups(t, t)
     if n > 4:
         # a residual sum of squares: clamp the roundoff of the subtraction at 0
         sigma_sq = np.maximum(e_sq - q * q * f_sq, 0.0) / (n - 4)
@@ -212,7 +220,7 @@ def mr_via_normal_equations(z, Y, asg: Assignment) -> MREstimate:
     t = np.bincount(asg.codes, weights=Y, minlength=3)  # response sums per group
     g = np.bincount(asg.codes, weights=z, minlength=3)  # covariate sums per group
     fit = _group_sum_regression(
-        t[None], g[None], np.array([z @ Y]), np.array([Y @ Y]), z @ z, counts, asg.n, True
+        t[:, None], g[:, None], np.array([z @ Y]), np.array([Y @ Y]), z @ z, counts, asg.n, True
     )
     if not fit["valid"][0]:
         raise SingularDesignError()
@@ -263,30 +271,24 @@ class BatchEvaluator:
         self.q_tilde = q_tilde
 
     def _from_group_sums(self, t, g, zy, ysq, want_nominal):
-        # zy: per-group sums of zY; its A column is also the group-A mean
-        # of az that the Monte Carlo concentration check reads
-        u = zy[:, 0] + zy[:, 1] + zy[:, 2]
+        # three per-group (m,) columns each, added A, B, C; zy's A entry is
+        # also the group-A mean of az that the Monte Carlo concentration check reads
+        u = zy[0] + zy[1] + zy[2]
+        y_sq = 0.0 + ysq[0] + ysq[1] + ysq[2]
         out = _group_sum_regression(
-            t, g, u, ysq, self.z_sum_sq, self.counts, self.n, want_nominal
+            t, g, u, y_sq, self.z_sum_sq, self.counts, self.n, want_nominal
         )
-        out["sum_az_a"] = zy[:, 0] / self.counts[0]
+        out["sum_az_a"] = zy[0] / self.counts[0]
         if self.q_tilde is not None:
             dev = out["itt"] - self.truth
-            out["zeta"] = np.sqrt(self.n) * (dev - self.q_tilde * (g / self.counts))
+            zbar = np.column_stack(g) / self.counts
+            out["zeta"] = np.sqrt(self.n) * (dev - self.q_tilde * zbar)
         return out
 
     def evaluate_codes(self, codes: np.ndarray, want_nominal=False):
         codes = np.asarray(codes)
-        t = np.empty((codes.shape[0], 3))
-        g = np.empty_like(t)
-        zy = np.empty_like(t)
-        ysq = np.zeros(codes.shape[0])
-        for k in range(3):
-            sums = (codes == k).astype(np.float64) @ self.group_columns[k]
-            t[:, k] = sums[:, 0]
-            zy[:, k] = sums[:, 1]
-            ysq += sums[:, 2]
-            g[:, k] = sums[:, 3]
+        sums = [(codes == k).astype(np.float64) @ self.group_columns[k] for k in range(3)]
+        t, zy, ysq, g = zip(*(s.T for s in sums))
         return self._from_group_sums(t, g, zy, ysq, want_nominal)
 
     def evaluate_index(self, idx: np.ndarray, want_nominal=False):
@@ -300,14 +302,10 @@ class BatchEvaluator:
         """
         n_a, n_b, _ = self.sizes.counts()
         bounds = (0, n_a, n_a + n_b, self.n)
-        t = np.empty((idx.shape[0], 3))
-        g = np.empty_like(t)
-        zy = np.empty_like(t)
-        ysq = np.zeros(idx.shape[0])
+        sums = []
         for k in range(3):
             block = np.ascontiguousarray(idx[:, bounds[k] : bounds[k + 1]])
-            t[:, k] = self.responses[k].take(block).sum(axis=1)
-            zy[:, k] = self.products[k].take(block).sum(axis=1)
-            ysq += self.squares[k].take(block).sum(axis=1)
-            g[:, k] = self.z.take(block).sum(axis=1)
+            operands = (self.responses[k], self.products[k], self.squares[k], self.z)
+            sums.append([x.take(block).sum(axis=1) for x in operands])
+        t, zy, ysq, g = zip(*sums)
         return self._from_group_sums(t, g, zy, ysq, want_nominal)

@@ -353,13 +353,14 @@ class MCSummary:
     max_abs_dev_az_a: float
 
 
-def _batch_sizes(reps: int, n: int, batch_size: int | None) -> list:
+def _batch_sizes(reps: int, n: int, batch_size: int | None):
+    """Yield the batch plan as ``(index, size)`` jobs, lazily: any ``reps`` starts at once."""
     if batch_size is None:
         # fixed formula of (reps, n) only, never of the thread count: it
         # fixes the per-batch streams and merge boundaries, not memory
         batch_size = max(128, min(4096, 2_000_000 // max(n, 1)))
-    full, rest = divmod(reps, batch_size)
-    return [batch_size] * full + ([rest] if rest else [])
+    for start in range(0, reps, batch_size):
+        yield start // batch_size, min(batch_size, reps - start)
 
 
 def monte_carlo(
@@ -434,7 +435,7 @@ def monte_carlo(
         return res
 
     redraws, max_dev, written = 0, 0.0, 0
-    results = _process_in_order(enumerate(_batch_sizes(reps, n, batch_size)), compute, threads)
+    results = _process_in_order(_batch_sizes(reps, n, batch_size), compute, threads)
     with _open_dump(dump_path, "replicate") as dump, closing(results):
         for res in results:
             redraws += res["redraws"]

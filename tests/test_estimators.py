@@ -1,8 +1,12 @@
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from triarm import (
     Assignment,
@@ -19,6 +23,7 @@ from triarm import (
     normalize_z,
     observed_response,
 )
+from triarm.estimators import SINGULARITY_TOL, _group_sum_regression, _xtx_inverse
 
 TABLE_ASG = Assignment.from_labels("ABCCCC")
 
@@ -345,3 +350,86 @@ class TestBatchEvaluator:
         by_codes = ev.evaluate_codes(codes)
         np.testing.assert_allclose(by_index["mr"], by_codes["mr"], atol=1e-12)
         np.testing.assert_allclose(by_index["itt"], by_codes["itt"], atol=1e-12)
+
+
+def rowwise_group_sum_regression(t, g, u, ysq, zsq, counts, n, want_nominal=False):
+    """The group-sum kernel on (m, 3) sums, each group sum reduced with ``.sum(axis=1)``."""
+    ybar = t / counts
+    zbar = g / counts
+    f_sq = zsq - (g * g / counts).sum(axis=1)
+    valid = f_sq > SINGULARITY_TOL * n
+    safe_f = np.where(valid, f_sq, np.nan)
+    ef = u - (g * t / counts).sum(axis=1)
+    q = ef / safe_f
+    e_sq = ysq - (t * t / counts).sum(axis=1)
+    if n > 4:
+        sigma_sq = np.maximum(e_sq - q * q * f_sq, 0.0) / (n - 4)
+    else:
+        sigma_sq = np.full(len(q), np.nan)
+    out = {
+        "itt": ybar,
+        "mr": ybar - q[:, None] * zbar,
+        "q_hat": q,
+        "sigma_hat_sq": sigma_sq,
+        "valid": valid,
+        "e_sq": e_sq,
+        "f_sq": f_sq,
+        "ef": ef,
+    }
+    if want_nominal:
+        out["nominal_cov"] = sigma_sq[:, None, None] * _xtx_inverse(counts, zbar, safe_f)
+    return out
+
+
+#: 18 values whose sums of three hit signed zeros, subnormals, overflow,
+#: infinities and NaN
+SPECIAL_VALUES = [
+    0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 7.0, 1e-16, -1e-16,
+    1e-300, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan,
+]
+
+GROUP_SUMS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e150, -1e150]),
+    st.floats(min_value=-1e150, max_value=1e150),
+)
+
+
+def assert_same_kernel_output(t, g, u, ysq, zsq, counts, n):
+    with np.errstate(all="ignore"):
+        expected = rowwise_group_sum_regression(t, g, u, ysq, zsq, counts, n, True)
+        got = _group_sum_regression(tuple(t.T), tuple(g.T), u, ysq, zsq, counts, n, True)
+    assert got.keys() == expected.keys()
+    for key, want in expected.items():
+        np.testing.assert_array_equal(got[key], want, err_msg=key)
+        np.testing.assert_array_equal(np.signbit(got[key]), np.signbit(want), err_msg=key)
+
+
+class TestGroupSumKernel:
+    """The column kernel gives the bits of the row-wise ``.sum(axis=1)`` kernel."""
+
+    def test_numpy_sums_three_from_a_zero_start(self):
+        # the kernel's ``0.0 + A + B + C`` rests on this reduction order
+        rows = np.array(list(itertools.product(SPECIAL_VALUES, repeat=3)))
+        with np.errstate(all="ignore"):
+            expected = rows.sum(axis=1)
+            got = 0.0 + rows[:, 0] + rows[:, 1] + rows[:, 2]
+        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+
+    def test_negative_zero_terms(self):
+        # every g * t / counts term is -0.0: the row-wise sum is +0.0, so
+        # ef = -0.0 - 0.0 stays -0.0 and so do q_hat and its products
+        t = np.array([[1.0, 2.0, 3.0]])
+        g = np.array([[-0.0, -0.0, -0.0]])
+        assert_same_kernel_output(
+            t, g, np.array([-0.0]), np.array([14.0]), 1.0, np.array([1.0, 2.0, 3.0]), 6
+        )
+
+    @settings(max_examples=200)
+    @given(data=st.data(), m=st.integers(1, 5), sizes=st.tuples(*[st.integers(1, 4)] * 3))
+    def test_matches_rowwise_kernel(self, data, m, sizes):
+        t, g = (data.draw(arrays(np.float64, (m, 3), elements=GROUP_SUMS)) for _ in range(2))
+        u, ysq = (data.draw(arrays(np.float64, m, elements=GROUP_SUMS)) for _ in range(2))
+        zsq = data.draw(GROUP_SUMS)
+        counts = np.array(sizes, dtype=float)
+        assert_same_kernel_output(t, g, u, ysq, zsq, counts, sum(sizes))

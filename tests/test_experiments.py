@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import itertools
 import threading
 import time
 import warnings
@@ -28,7 +29,7 @@ from triarm import (
 )
 from triarm.assignment import assignment_count, enumerate_assignments, worker_generator
 from triarm.estimators import BatchEvaluator
-from triarm.experiments import _Moments, _process_in_order
+from triarm.experiments import _batch_sizes, _Moments, _process_in_order
 from triarm.scenarios import (
     conditional_constancy_population,
     curved_response_population,
@@ -190,15 +191,10 @@ def fancy_evaluate_index(evaluator, idx, want_nominal=True):
     """``BatchEvaluator.evaluate_index`` by fancy indexing with strided column blocks."""
     n_a, n_b, _ = evaluator.sizes.counts()
     blocks = (idx[:, :n_a], idx[:, n_a : n_a + n_b], idx[:, n_a + n_b :])
-    t = np.empty((idx.shape[0], 3))
-    g = np.empty_like(t)
-    zy = np.empty_like(t)
-    ysq = np.zeros(idx.shape[0])
-    for k, block in enumerate(blocks):
-        t[:, k] = evaluator.responses[k][block].sum(axis=1)
-        zy[:, k] = evaluator.products[k][block].sum(axis=1)
-        ysq += evaluator.squares[k][block].sum(axis=1)
-        g[:, k] = evaluator.z[block].sum(axis=1)
+    t = [evaluator.responses[k][block].sum(axis=1) for k, block in enumerate(blocks)]
+    zy = [evaluator.products[k][block].sum(axis=1) for k, block in enumerate(blocks)]
+    ysq = [evaluator.squares[k][block].sum(axis=1) for k, block in enumerate(blocks)]
+    g = [evaluator.z[block].sum(axis=1) for block in blocks]
     return evaluator._from_group_sums(t, g, zy, ysq, want_nominal)
 
 
@@ -379,6 +375,23 @@ class TestProcessInOrder:
             for res in results:
                 raise RuntimeError(f"job {res} failed in the consumer")
         assert len(started) <= 1 + threads
+
+
+class TestBatchPlan:
+    def test_plan_is_lazy(self):
+        # 10**16 reps: a planned list of batches would not fit in memory
+        assert list(itertools.islice(_batch_sizes(10**16, 6, None), 2)) == [(0, 4096), (1, 4096)]
+
+    @pytest.mark.parametrize(
+        "reps, n, batch_size, sizes",
+        [
+            (1000, 6, 300, [300, 300, 300, 100]),
+            (900, 6, 300, [300, 300, 300]),
+            (10_000, 800, None, [2500] * 4),
+        ],
+    )
+    def test_batches(self, reps, n, batch_size, sizes):
+        assert list(_batch_sizes(reps, n, batch_size)) == list(enumerate(sizes))
 
 
 class TestThreadCap:
