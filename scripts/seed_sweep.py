@@ -70,7 +70,7 @@ def criterion_7(seed):
     for row in report.rows:
         # bias gate: |(n - 1) bias + K| <= 4 (n - 1) se, per component
         margins[f"7 bias m={row.m}"] = float(
-            np.min(1.0 - np.abs(row.bias_scaled - row.bias_target) / row.bias_gate)
+            np.min(1.0 - np.abs(row.bias_scaled + report.k) / row.bias_gate)
         )
     margins["7 slope in [-1.75, -0.75]"] = (0.5 - abs(report.slope + 1.25)) / 0.5
     return margins

@@ -34,14 +34,9 @@ from .estimators import (
 from .experiments import (
     ExactSummary,
     MCSummary,
-    OrderCheckReport,
     contrast_symmetry_deviation,
     exact_distribution,
-    make_additive_population,
-    make_interaction_population,
-    make_orthogonal_population,
     monte_carlo,
-    order_checks,
 )
 from .population import (
     MomentSet,
@@ -54,6 +49,13 @@ from .population import (
     moment_set,
     normalize_z,
     replicate,
+)
+from .scenarios import (
+    OrderCheckReport,
+    make_additive_population,
+    make_interaction_population,
+    make_orthogonal_population,
+    order_checks,
 )
 from .theory import (
     AdjustmentGain,
@@ -74,4 +76,6 @@ from .theory import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the scenario helpers are exported by name above; the module itself,
+# like cli, is imported as triarm.scenarios and is not a star-import name
+__all__ = [name for name in dir() if not name.startswith("_") and name != "scenarios"]

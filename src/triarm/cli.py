@@ -12,6 +12,7 @@ and engine output is independent of ``--threads``.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -298,6 +299,8 @@ def _cmd_enumerate(args):
 
 
 def _cmd_simulate(args):
+    if args.seed < 0:
+        raise ValueError(f"--seed must be at least 0, got {args.seed}")
     pop, sizes, z_map, notes = _prepare_population(args)
     summary = monte_carlo(
         pop,
@@ -365,16 +368,7 @@ def _cmd_reproduce(args):
         "scenario": result.scenario,
         "passed": result.passed,
         "discrepancy": result.discrepancy,
-        "rows": [
-            {
-                "label": row.label,
-                "computed": row.computed,
-                "reference": row.reference,
-                "tolerance": row.tolerance,
-                "status": row.status,
-            }
-            for row in result.rows
-        ],
+        "rows": [dataclasses.asdict(row) for row in result.rows],
         "notes": result.notes,
     }
     return report, []
@@ -439,7 +433,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_population_flags(p)
     _add_output_flags(p)
     p.add_argument("--reps", type=int, required=True, help="number of replicates (>= 2)")
-    p.add_argument("--seed", type=int, required=True, help="master seed")
+    p.add_argument("--seed", type=int, required=True, help="master seed (>= 0)")
     p.add_argument("--dump", metavar="FILE", help="write per-replicate estimates to FILE as CSV")
     p.set_defaults(handler=_cmd_simulate)
 

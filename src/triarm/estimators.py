@@ -237,7 +237,8 @@ class BatchEvaluator:
     (sampling).  Rows whose design is singular come back with ``valid``
     False and NaN estimates; callers decide whether to drop or redraw.
     Built with ``q_tilde``, results also carry the scaled lead term
-    ``zeta``.
+    ``zeta`` and ``dev_az_a``, the deviation of group A's mean of ``a * z``
+    from its population mean.
     """
 
     def __init__(self, pop, sizes: GroupSizes, q_tilde: float | None = None):
@@ -268,18 +269,19 @@ class BatchEvaluator:
         )
         # a BLAS dot, not an fsum: it fixes the kernel's output bits
         self.z_sum_sq = float(pop.z @ pop.z)
+        # a numpy mean, not the moment set's fsum one: it fixes max_abs_dev_az_a's bits
+        self.az_mean = float(self.products[0].mean())
         self.q_tilde = q_tilde
 
     def _from_group_sums(self, t, g, zy, ysq, want_nominal):
-        # three per-group (m,) columns each, added A, B, C; zy's A entry is
-        # also the group-A mean of az that the Monte Carlo concentration check reads
+        # three per-group (m,) columns each, added A, B, C
         u = zy[0] + zy[1] + zy[2]
         y_sq = 0.0 + ysq[0] + ysq[1] + ysq[2]
         out = _group_sum_regression(
             t, g, u, y_sq, self.z_sum_sq, self.counts, self.n, want_nominal
         )
-        out["sum_az_a"] = zy[0] / self.counts[0]
         if self.q_tilde is not None:
+            out["dev_az_a"] = np.abs(zy[0] / self.counts[0] - self.az_mean)
             dev = out["itt"] - self.truth
             zbar = np.column_stack(g) / self.counts
             out["zeta"] = np.sqrt(self.n) * (dev - self.q_tilde * zbar)

@@ -17,7 +17,6 @@ Monte Carlo engine, which gives up after :data:`MAX_REDRAW_ROUNDS`
 rounds on one batch.
 """
 
-import math
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -35,14 +34,8 @@ from .assignment import (
     worker_generator,
 )
 from .estimators import BatchEvaluator, SingularDesignError
-from .population import Population, replicate
-from .theory import (
-    bias_k,
-    nominal_asymptotics,
-    plugin_spec,
-    q_tilde,
-    sigma_matrix,
-)
+from .population import Population
+from .theory import q_tilde
 
 
 def _labels(codes: np.ndarray) -> list:
@@ -171,17 +164,21 @@ class ExactSummary:
 
 @contextmanager
 def _open_dump(path, first_column):
-    """Dump file for the block that follows; None when ``path`` is empty.
+    """Dump file for the block that follows; None when ``path`` is None.
 
     Rows go to a new temporary file beside ``path``, which replaces
     ``path`` only when the block completes.  A block that raises removes
     the temporary file, so a failed run leaves any earlier file at
     ``path`` as it was and never a partial dump.  A symbolic link is
-    followed, so its target is replaced and the link kept.
+    followed, so its target is replaced and the link kept.  An empty
+    path raises :class:`ValueError`: ``realpath`` would turn it into the
+    working directory.
     """
-    if not path:
+    if path is None:
         yield None
         return
+    if not os.fspath(path):
+        raise ValueError(f"dump path must not be empty, got {path!r}")
     header = f"{first_column},itt_a,itt_b,itt_c,mr_a,mr_b,mr_c,q_hat,sigma_hat_sq\r\n"
     target = os.path.realpath(path)
     if os.path.exists(target) and not os.path.isfile(target):
@@ -387,8 +384,6 @@ def monte_carlo(
     qt = q_tilde(pop, sizes)
     evaluator = BatchEvaluator(pop, sizes, q_tilde=qt)
     truth = evaluator.truth
-    # a numpy mean, not the moment set's fsum one: it fixes max_abs_dev_az_a's bits
-    az_mean = float(evaluator.products[0].mean())
     n = pop.n
 
     itt, mr, zeta = _Moments(3), _Moments(3), _Moments(3, order=4)
@@ -445,7 +440,7 @@ def monte_carlo(
             q_hat.add(res["q_hat"][:, None])
             sigma_hat_sq.add(res["sigma_hat_sq"][:, None])
             nominal.add(res["nominal_cov"].reshape(-1, 16))
-            max_dev = max(max_dev, float(np.abs(res["sum_az_a"] - az_mean).max()))
+            max_dev = max(max_dev, float(res["dev_az_a"].max()))
             if dump is not None:
                 _dump_rows(dump, range(written, written + len(res["q_hat"])), res)
                 written += len(res["q_hat"])
@@ -475,163 +470,3 @@ def monte_carlo(
         zeta_kurtosis=zeta_kurtosis,
         max_abs_dev_az_a=max_dev,
     )
-
-
-# ---------------------------------------------------------------------------
-# Deterministic populations built from period-8 sign patterns.  Distinct
-# rows are exactly orthogonal with mean 0 and unit mean square, so the
-# moment structure below holds to machine precision at any multiple of 8.
-
-_SIGN_PATTERNS = np.array(
-    [
-        [1, -1, 1, -1, 1, -1, 1, -1],
-        [1, 1, -1, -1, 1, 1, -1, -1],
-        [1, -1, -1, 1, 1, -1, -1, 1],
-        [1, 1, 1, 1, -1, -1, -1, -1],
-    ],
-    dtype=np.float64,
-)
-
-
-def _tiled_patterns(n: int) -> list:
-    if n < 8 or n % 8:
-        raise ValueError(f"n must be a positive multiple of 8, got {n}")
-    return [np.tile(row, n // 8) for row in _SIGN_PATTERNS]
-
-
-def make_orthogonal_population(n: int, var_b: float = 1.0) -> Population:
-    """Population with exactly orthonormal a, c, z and var(b) = var_b.
-
-    All four variables have mean 0 and vanishing pairwise covariances;
-    a, c and z have unit variance.  This realizes, at finite n, the
-    identity limiting covariance structure (with the b variance free).
-    """
-    if var_b <= 0.0:
-        raise ValueError("var_b must be positive")
-    r1, r2, r3, r4 = _tiled_patterns(n)
-    return Population(r1, math.sqrt(var_b) * r2, r3, r4)
-
-
-def make_additive_population(n: int, z_correlation: float = 0.6) -> Population:
-    """Additive-effects population with cov(a, z) = z_correlation.
-
-    Responses share one unit-variance shape plus the constant shifts 0, 1
-    and 2, so adjustment must help the precision of every contrast.
-    """
-    rho = float(z_correlation)
-    if not -1.0 < rho < 1.0:
-        raise ValueError("z_correlation must lie strictly between -1 and 1")
-    r1, r2, _, _ = _tiled_patterns(n)
-    shape = rho * r1 + math.sqrt(1.0 - rho * rho) * r2
-    return Population(shape, shape + 1.0, shape + 2.0, r1)
-
-
-def make_interaction_population(n: int, var_b: float = 5.0 / 6.0) -> Population:
-    """Uncorrelated responses whose sum is the covariate.
-
-    var(a) = var(c) = (1 - var_b) / 2 and z = a + b + c has unit
-    variance; raising var_b transfers response variance into the arm
-    whose group membership the covariate cannot help with, which is the
-    canonical way to make adjustment hurt a balanced design.
-    """
-    if not 0.0 < var_b < 1.0:
-        raise ValueError("var_b must lie strictly between 0 and 1")
-    va = (1.0 - var_b) / 2.0
-    r1, r2, r3, _ = _tiled_patterns(n)
-    a = math.sqrt(va) * r1
-    b = math.sqrt(var_b) * r2
-    c = math.sqrt(va) * r3
-    return Population(a, b, c, a + b + c)
-
-
-# ---------------------------------------------------------------------------
-# Order diagnostics: replicate a base population (moments frozen, n
-# growing) and compare Monte Carlo summaries against the closed forms.
-
-
-@dataclass
-class OrderCheckRow:
-    m: int
-    n: int
-    bias: np.ndarray
-    bias_scaled: np.ndarray
-    bias_target: np.ndarray
-    bias_gate: np.ndarray
-    bias_ok: bool
-    residual_norm: float
-    cov_deviation: float
-    sigma_hat_mean: float
-    max_dev_az: float
-
-
-@dataclass
-class OrderCheckReport:
-    """Asymptotic-order diagnostics along a replication sequence.
-
-    Per replication factor m (population size n = m * n0): the adjusted
-    estimator's Monte Carlo bias scaled by (n - 1) against the negated
-    bias coefficient K, with a four-standard-error gate; the deviation
-    of n times the estimator covariance from its limit; the mean
-    residual-variance estimate against its limit; the norm of the
-    second-order bias residual; and the worst deviation of a sampled
-    product mean from its population value (a concentration check).
-    ``slope`` is the log-log fit of the bias residual against n; second-
-    order theory predicts it to be steeply negative.
-    """
-
-    k: np.ndarray
-    sigma: np.ndarray
-    sigma_sq: float
-    rows: list
-    slope: float
-
-
-def order_checks(
-    base: Population,
-    sizes: GroupSizes,
-    m_values,
-    reps: int,
-    seed: int,
-    threads: int = 1,
-) -> OrderCheckReport:
-    sizes.validate_for(base.n)
-    k = bias_k(base, sizes)
-    spec = plugin_spec(base, sizes)
-    sigma, _ = sigma_matrix(spec)
-    sigma_sq = nominal_asymptotics(spec).sigma_sq
-    rows = []
-    for i, m in enumerate(m_values):
-        m = int(m)
-        pop_m = replicate(base, m)
-        mc = monte_carlo(
-            pop_m,
-            sizes.scaled(m),
-            reps,
-            seed=np.random.SeedSequence(seed, spawn_key=(i,)),
-            threads=threads,
-        )
-        n = pop_m.n
-        scaled = (n - 1) * mc.mr_bias
-        gate = 4.0 * (n - 1) * mc.mr_se
-        rows.append(
-            OrderCheckRow(
-                m=m,
-                n=n,
-                bias=mc.mr_bias,
-                bias_scaled=scaled,
-                bias_target=-k,
-                bias_gate=gate,
-                bias_ok=bool(np.all(np.abs(scaled + k) <= gate)),
-                residual_norm=float(np.linalg.norm(mc.mr_bias + k / (n - 1))),
-                cov_deviation=float(np.abs(n * mc.mr_cov - sigma).max()),
-                sigma_hat_mean=mc.mean_sigma_hat_sq,
-                max_dev_az=mc.max_abs_dev_az_a,
-            )
-        )
-    if len(rows) >= 2 and all(r.residual_norm > 0 for r in rows):
-        log_n = np.log([r.n for r in rows])
-        log_r = np.log([r.residual_norm for r in rows])
-        slope = float(np.polyfit(log_n, log_r, 1)[0])
-    else:
-        slope = float("nan")
-    return OrderCheckReport(k=k, sigma=sigma, sigma_sq=sigma_sq, rows=rows, slope=slope)

@@ -12,10 +12,10 @@ under that convention.
 This module is the package's one source of population sums.  A
 population caches its :class:`MomentSet` (:func:`moment_set`) and the
 mean and mean square of ``z`` (:func:`z_moments`); every other module
-reads them.  Two sums are taken elsewhere on purpose, because their
-exact bits fix the Monte Carlo output for a seed: ``monte_carlo``'s
-mean of ``a * z`` is a numpy mean, and ``BatchEvaluator.z_sum_sq`` is a
-BLAS dot product.  A sum that leaves the float range raises a
+reads them.  Two sums are taken elsewhere on purpose, both in
+:class:`~triarm.estimators.BatchEvaluator`, because their exact bits fix
+the engines' output: ``az_mean``, the mean of ``a * z``, is a numpy
+mean, and ``z_sum_sq`` is a BLAS dot product.  A sum that leaves the float range raises a
 :class:`ValueError` naming its variable; only the fourth absolute
 moments may be infinite.
 """

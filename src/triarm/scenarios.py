@@ -1,4 +1,11 @@
-"""Built-in verification scenarios with stored reference values.
+"""Built-in populations and the checks that compare the engines with theory.
+
+This module holds every population and limiting-moment spec that ships
+with the package, the sign-pattern populations with exact moment
+structure among them; the ``reproduce`` scenarios; and
+:func:`order_checks`, which compares Monte Carlo summaries along a
+replication sequence with the closed forms.  The engines themselves live
+in :mod:`triarm.experiments`.
 
 Each scenario runs entirely from populations and limiting-moment specs
 embedded here, computes the artifact's numbers, and compares them with
@@ -9,21 +16,22 @@ distinct labelings), so the runner compares both enumeration modes and
 emits a structured discrepancy note when neither reproduces every row.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .assignment import GroupSizes
-from .experiments import contrast_symmetry_deviation, exact_distribution
-from .population import Population, moment_set, normalize_z
+from .experiments import contrast_symmetry_deviation, exact_distribution, monte_carlo
+from .population import Population, moment_set, normalize_z, replicate
 from .theory import (
     AsymptoticSpec,
     adjustment_gain,
+    bias_k,
     nominal_asymptotics,
+    plugin_spec,
     sigma_matrix,
 )
-
-SCENARIO_NAMES = ("table2", "example2", "example3", "example4", "theorem5", "theorem6")
 
 
 def demo_population() -> Population:
@@ -95,6 +103,73 @@ def random_additive_population(rng: np.random.Generator, n: int) -> Population:
     pop = Population(shape + shifts[0], shape + shifts[1], shape + shifts[2], z)
     normalized, _ = normalize_z(pop)
     return normalized
+
+
+# ---------------------------------------------------------------------------
+# Deterministic populations built from period-8 sign patterns.  Distinct
+# rows are exactly orthogonal with mean 0 and unit mean square, so the
+# moment structure below holds to machine precision at any multiple of 8.
+
+_SIGN_PATTERNS = np.array(
+    [
+        [1, -1, 1, -1, 1, -1, 1, -1],
+        [1, 1, -1, -1, 1, 1, -1, -1],
+        [1, -1, -1, 1, 1, -1, -1, 1],
+        [1, 1, 1, 1, -1, -1, -1, -1],
+    ],
+    dtype=np.float64,
+)
+
+
+def _tiled_patterns(n: int) -> list:
+    if n < 8 or n % 8:
+        raise ValueError(f"n must be a positive multiple of 8, got {n}")
+    return [np.tile(row, n // 8) for row in _SIGN_PATTERNS]
+
+
+def make_orthogonal_population(n: int, var_b: float = 1.0) -> Population:
+    """Population with exactly orthonormal a, c, z and var(b) = var_b.
+
+    All four variables have mean 0 and vanishing pairwise covariances;
+    a, c and z have unit variance.  This realizes, at finite n, the
+    identity limiting covariance structure (with the b variance free).
+    """
+    if var_b <= 0.0:
+        raise ValueError("var_b must be positive")
+    r1, r2, r3, r4 = _tiled_patterns(n)
+    return Population(r1, math.sqrt(var_b) * r2, r3, r4)
+
+
+def make_additive_population(n: int, z_correlation: float = 0.6) -> Population:
+    """Additive-effects population with cov(a, z) = z_correlation.
+
+    Responses share one unit-variance shape plus the constant shifts 0, 1
+    and 2, so adjustment must help the precision of every contrast.
+    """
+    rho = float(z_correlation)
+    if not -1.0 < rho < 1.0:
+        raise ValueError("z_correlation must lie strictly between -1 and 1")
+    r1, r2, _, _ = _tiled_patterns(n)
+    shape = rho * r1 + math.sqrt(1.0 - rho * rho) * r2
+    return Population(shape, shape + 1.0, shape + 2.0, r1)
+
+
+def make_interaction_population(n: int, var_b: float = 5.0 / 6.0) -> Population:
+    """Uncorrelated responses whose sum is the covariate.
+
+    var(a) = var(c) = (1 - var_b) / 2 and z = a + b + c has unit
+    variance; raising var_b transfers response variance into the arm
+    whose group membership the covariate cannot help with, which is the
+    canonical way to make adjustment hurt a balanced design.
+    """
+    if not 0.0 < var_b < 1.0:
+        raise ValueError("var_b must lie strictly between 0 and 1")
+    va = (1.0 - var_b) / 2.0
+    r1, r2, r3, _ = _tiled_patterns(n)
+    a = math.sqrt(va) * r1
+    b = math.sqrt(var_b) * r2
+    c = math.sqrt(va) * r3
+    return Population(a, b, c, a + b + c)
 
 
 def identity_spec(var_b: float = 1.0) -> AsymptoticSpec:
@@ -311,9 +386,98 @@ _RUNNERS = {
     "theorem5": _run_theorem5,
     "theorem6": _run_theorem6,
 }
+SCENARIO_NAMES = tuple(_RUNNERS)
 
 
 def run_scenario(name: str, threads: int = 1) -> ScenarioResult:
     if name not in _RUNNERS:
         raise ValueError(f"unknown scenario {name!r}; valid names: {', '.join(SCENARIO_NAMES)}")
     return _RUNNERS[name](threads=threads)
+
+
+# ---------------------------------------------------------------------------
+# Order diagnostics: replicate a base population (moments frozen, n
+# growing) and compare Monte Carlo summaries against the closed forms.
+
+
+@dataclass
+class OrderCheckRow:
+    m: int
+    n: int
+    bias_scaled: np.ndarray
+    bias_gate: np.ndarray
+    bias_ok: bool
+    residual_norm: float
+    cov_deviation: float
+    sigma_hat_mean: float
+    max_dev_az: float
+
+
+@dataclass
+class OrderCheckReport:
+    """Asymptotic-order diagnostics along a replication sequence.
+
+    Per replication factor m (population size n = m * n0): the adjusted
+    estimator's Monte Carlo bias scaled by (n - 1) against the negated
+    bias coefficient K, with a four-standard-error gate; the deviation
+    of n times the estimator covariance from its limit; the mean
+    residual-variance estimate against its limit; the norm of the
+    second-order bias residual; and the worst deviation of a sampled
+    product mean from its population value (a concentration check).
+    ``slope`` is the log-log fit of the bias residual against n; second-
+    order theory predicts it to be steeply negative.
+    """
+
+    k: np.ndarray
+    sigma_sq: float
+    rows: list
+    slope: float
+
+
+def order_checks(
+    base: Population,
+    sizes: GroupSizes,
+    m_values,
+    reps: int,
+    seed: int,
+    threads: int = 1,
+) -> OrderCheckReport:
+    sizes.validate_for(base.n)
+    k = bias_k(base, sizes)
+    spec = plugin_spec(base, sizes)
+    sigma, _ = sigma_matrix(spec)
+    sigma_sq = nominal_asymptotics(spec).sigma_sq
+    rows = []
+    for i, m in enumerate(m_values):
+        m = int(m)
+        pop_m = replicate(base, m)
+        mc = monte_carlo(
+            pop_m,
+            sizes.scaled(m),
+            reps,
+            seed=np.random.SeedSequence(seed, spawn_key=(i,)),
+            threads=threads,
+        )
+        n = pop_m.n
+        scaled = (n - 1) * mc.mr_bias
+        gate = 4.0 * (n - 1) * mc.mr_se
+        rows.append(
+            OrderCheckRow(
+                m=m,
+                n=n,
+                bias_scaled=scaled,
+                bias_gate=gate,
+                bias_ok=bool(np.all(np.abs(scaled + k) <= gate)),
+                residual_norm=float(np.linalg.norm(mc.mr_bias + k / (n - 1))),
+                cov_deviation=float(np.abs(n * mc.mr_cov - sigma).max()),
+                sigma_hat_mean=mc.mean_sigma_hat_sq,
+                max_dev_az=mc.max_abs_dev_az_a,
+            )
+        )
+    if len(rows) >= 2 and all(r.residual_norm > 0 for r in rows):
+        log_n = np.log([r.n for r in rows])
+        log_r = np.log([r.residual_norm for r in rows])
+        slope = float(np.polyfit(log_n, log_r, 1)[0])
+    else:
+        slope = float("nan")
+    return OrderCheckReport(k=k, sigma_sq=sigma_sq, rows=rows, slope=slope)

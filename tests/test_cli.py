@@ -388,6 +388,34 @@ class TestDumpTarget:
         assert code == 2
         assert f"No such file or directory: '{dump}'" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [("enumerate",), ("simulate", "--reps", "100", "--seed", "1")],
+        ids=["enumerate", "simulate"],
+    )
+    def test_empty_path_exit_2(self, capsys, table_csv, tmp_path, monkeypatch, flags):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        command, *extra = flags
+        code, out, err = run_cli(
+            capsys, command, table_csv, "--sizes", "2,2,2", *extra, "--dump", ""
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: dump path must not be empty, got ''\n"
+        assert os.getcwd() == str(work)
+        assert list(work.iterdir()) == []
+
+    def test_empty_path_refused_by_engines(self, table_csv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        pop, sizes = normalize_z(load_population(table_csv))[0], GroupSizes(2, 2, 2)
+        with pytest.raises(ValueError, match="dump path must not be empty"):
+            triarm.exact_distribution(pop, sizes, dump_path="")
+        with pytest.raises(ValueError, match="dump path must not be empty"):
+            triarm.monte_carlo(pop, sizes, reps=100, seed=1, dump_path="")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["table1.csv"]
+
 
 class TestEnumerate:
     def test_counts_and_zero_bias_rendering(self, capsys, table_csv):
@@ -503,6 +531,16 @@ class TestSimulate:
         )
         assert code == 2
         assert "at least 2" in err
+
+    def test_seed_below_zero_exit_2(self, capsys, table_csv, tmp_path):
+        # checked before the CSV is read: a missing file gives the same error
+        for path in (table_csv, str(tmp_path / "missing.csv")):
+            code, out, err = run_cli(
+                capsys, "simulate", path, "--sizes", "2,2,2", "--reps", "100", "--seed", "-1"
+            )
+            assert code == 2
+            assert out == ""
+            assert err == "error: --seed must be at least 0, got -1\n"
 
     def test_comparison_section(self, capsys, table_csv):
         _, out, _ = run_cli(
