@@ -9,6 +9,8 @@ bias, asymptotic and nominal variances, and adjustment gain, with each
 route cross-validated against the others.
 """
 
+import types as _types
+
 from .assignment import (
     Assignment,
     EnumerationLimitError,
@@ -76,6 +78,10 @@ from .theory import (
 
 __version__ = "0.1.0"
 
-# the scenario helpers are exported by name above; the module itself,
-# like cli, is imported as triarm.scenarios and is not a star-import name
-__all__ = [name for name in dir() if not name.startswith("_") and name != "scenarios"]
+# the names imported above; the submodules those imports bind as package
+# attributes are reached by dotted name (triarm.scenarios), not by the star
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)

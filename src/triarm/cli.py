@@ -301,6 +301,8 @@ def _cmd_enumerate(args):
 def _cmd_simulate(args):
     if args.seed < 0:
         raise ValueError(f"--seed must be at least 0, got {args.seed}")
+    if args.reps < 2:
+        raise ValueError(f"--reps must be at least 2, got {args.reps}")
     pop, sizes, z_map, notes = _prepare_population(args)
     summary = monte_carlo(
         pop,

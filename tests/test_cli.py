@@ -530,7 +530,16 @@ class TestSimulate:
             capsys, "simulate", table_csv, "--sizes", "2,2,2", "--reps", "1", "--seed", "0"
         )
         assert code == 2
-        assert "at least 2" in err
+        assert err == "error: --reps must be at least 2, got 1\n"
+
+    def test_reps_checked_before_csv_is_read(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.csv")
+        code, out, err = run_cli(
+            capsys, "simulate", missing, "--sizes", "2,2,2", "--reps", "1", "--seed", "0"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --reps must be at least 2, got 1\n"
 
     def test_seed_below_zero_exit_2(self, capsys, table_csv, tmp_path):
         # checked before the CSV is read: a missing file gives the same error

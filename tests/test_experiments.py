@@ -343,6 +343,28 @@ class TestDumpBytes:
         assert len(dumped_batches) == 4
         assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
+    def test_repeated_special_itt_values_match_reference(self, tmp_path):
+        # ITT texts are formatted once per distinct bit pattern: values that
+        # compare equal (0.0, -0.0) or never equal (NaNs) must keep their own text
+        nans = np.array([0x7FF8000000000001, -0x0008000000000000], dtype=np.int64).view(np.float64)
+        special = np.array([0.0, -0.0, *nans, np.inf, -np.inf, 5e-324, 1e308, 0.1, 1 / 3, -2.5])
+        rng = np.random.default_rng(11)
+        rows = 200  # crosses several dump chunks
+        res = {
+            "itt": rng.choice(special, size=(rows, 3)),
+            "mr": rng.choice(special, size=(rows, 3)),
+            "q_hat": rng.normal(size=rows),
+            "sigma_hat_sq": rng.choice(special, size=rows),
+        }
+        assert rows > 2 * triarm.experiments._DUMP_CHUNK_ROWS
+        path = tmp_path / "dump.csv"
+        with triarm.experiments._open_dump(path, "replicate") as fh:
+            triarm.experiments._dump_rows(fh, range(rows), res)
+        reference_dump(tmp_path / "reference.csv", "replicate", [res])
+        text = path.read_text()
+        assert ",-0.0," in text and ",0.0," in text and ",5e-324," in text
+        assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
 
 class TestProcessInOrder:
     @pytest.mark.parametrize(
