@@ -22,10 +22,16 @@ import warnings
 import numpy as np
 
 from .assignment import (
-    DEFAULT_ENUMERATION_LIMIT, ENUMERATION_MODES, GROUP_CODES, EnumerationLimitError, GroupSizes
+    DEFAULT_ENUMERATION_LIMIT,
+    ENUMERATION_MODES,
+    GROUP_CODES,
+    GROUPS,
+    EnumerationLimitError,
+    GroupSizes,
 )
 from .experiments import exact_distribution, monte_carlo
 from .population import (
+    VARIABLES,
     PopulationFormatError,
     is_normalized_z,
     load_population,
@@ -33,9 +39,11 @@ from .population import (
     replicate,
 )
 from .scenarios import SCENARIO_NAMES, run_scenario
-from .theory import theory_report
+from .theory import PAIRS, theory_report
 
-_PAIRS = (("A", "B"), ("A", "C"), ("B", "C"))
+#: Least accepted value of each integer flag, checked in this order
+#: before any subcommand reads its population.
+_FLAG_MINIMUMS = {"threads": 1, "seed": 0, "reps": 2, "limit": 1, "replicate": 1}
 
 #: ``simulate`` reports the nominal/empirical ``ratio`` as undefined when
 #: the empirical contrast standard deviation is at most this fraction of
@@ -172,7 +180,7 @@ def _parse_sizes(text: str) -> GroupSizes:
 
 def _parse_pair(text: str) -> tuple[str, str]:
     parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2 or any(p not in ("A", "B", "C") for p in parts):
+    if len(parts) != 2 or any(p not in GROUPS for p in parts):
         raise ValueError(f"--pair expects two of A,B,C, got {text!r}")
     return parts[0], parts[1]
 
@@ -189,8 +197,6 @@ def _default_threads() -> int:
 
 
 def _prepare_population(args):
-    if args.replicate < 1:
-        raise ValueError(f"--replicate must be at least 1, got {args.replicate}")
     pop = load_population(args.population)
     sizes = _parse_sizes(args.sizes)
     n = pop.n * args.replicate
@@ -219,16 +225,15 @@ def _prepare_population(args):
 
 
 def _moment_section(ms):
-    names = ("a", "b", "c", "z")
     return {
-        "means": {x: ms.mean(x) for x in names},
+        "means": {x: ms.mean(x) for x in VARIABLES},
         "covariance": ms.covariance,
         "product_covariances": {
             "az,z": ms.product_covariances[0],
             "bz,z": ms.product_covariances[1],
             "cz,z": ms.product_covariances[2],
         },
-        "fourth_abs_moments": {x: ms.fourth_abs_moments[i] for i, x in enumerate(names)},
+        "fourth_abs_moments": {x: ms.fourth_abs_moments[i] for i, x in enumerate(VARIABLES)},
     }
 
 
@@ -266,17 +271,8 @@ def _contrast(matrix, s, t):
 
 
 def _cmd_enumerate(args):
-    if args.limit < 1:
-        raise ValueError(f"--limit must be at least 1, got {args.limit}")
     pop, sizes, z_map, notes = _prepare_population(args)
-    summary = exact_distribution(
-        pop,
-        sizes,
-        mode=args.mode,
-        limit=args.limit,
-        threads=args.threads,
-        dump_path=args.dump,
-    )
+    summary = exact_distribution(pop, sizes, mode=args.mode, limit=args.limit, dump_path=args.dump)
     report = {
         "command": "enumerate",
         "population": args.population,
@@ -299,10 +295,6 @@ def _cmd_enumerate(args):
 
 
 def _cmd_simulate(args):
-    if args.seed < 0:
-        raise ValueError(f"--seed must be at least 0, got {args.seed}")
-    if args.reps < 2:
-        raise ValueError(f"--reps must be at least 2, got {args.reps}")
     pop, sizes, z_map, notes = _prepare_population(args)
     summary = monte_carlo(
         pop,
@@ -315,7 +307,7 @@ def _cmd_simulate(args):
     comparison = {}
     scale = max(float(np.abs(y).max()) for y in (pop.a, pop.b, pop.c))
     roundoff_var = (RATIO_RTOL * scale) ** 2
-    for s, t in _PAIRS:
+    for s, t in PAIRS:
         si, ti = GROUP_CODES[s], GROUP_CODES[t]
         empirical = _contrast(summary.mr_cov, si, ti)
         nominal = _contrast(summary.mean_nominal_cov[:3, :3], si, ti)
@@ -364,7 +356,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_reproduce(args):
-    result = run_scenario(args.scenario, threads=args.threads)
+    result = run_scenario(args.scenario)
     report = {
         "command": "reproduce",
         "scenario": result.scenario,
@@ -402,8 +394,8 @@ def _add_output_flags(parser):
         "--threads",
         type=int,
         default=None,
-        help="worker cap for the engines, at least 1 (default $TRIARM_THREADS or 1); "
-        "results never depend on it",
+        help="worker cap for the Monte Carlo engine, at least 1 (default $TRIARM_THREADS "
+        "or 1); results never depend on it",
     )
 
 
@@ -452,8 +444,10 @@ def main(argv=None) -> int:
     try:
         if args.threads is None:
             args.threads = _default_threads()
-        elif args.threads < 1:
-            raise ValueError(f"--threads must be at least 1, got {args.threads}")
+        for flag, least in _FLAG_MINIMUMS.items():
+            value = getattr(args, flag, least)
+            if value < least:
+                raise ValueError(f"--{flag} must be at least {least}, got {value}")
         with warnings.catch_warnings():
             # the policy note from _prepare_population already says this
             warnings.filterwarnings("ignore", ".*covariate z is not normalized", UserWarning)

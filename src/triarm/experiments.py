@@ -5,11 +5,12 @@ assignments and reduce each batch to the moments they report: the count
 and mean of every statistic, co-moment matrices of the unadjusted and
 adjusted estimates and of the Monte Carlo lead term ``zeta``, and third
 and fourth moments of ``zeta`` alone.  Batch moments are merged pairwise
-(Chan, Golub & LeVeque 1979; Pebay 2008) in fixed batch order, so
-results are bit-identical for any worker count and no moment is rebuilt
-from raw power sums.  Monte Carlo batches draw from per-batch generator
-streams split deterministically from the master seed, so they are also
-independent of how work is scheduled.
+(Chan, Golub & LeVeque 1979; Pebay 2008) in fixed batch order, and no
+moment is rebuilt from raw power sums.  The exact engine is one serial
+loop.  Monte Carlo batches draw from per-batch generator streams split
+deterministically from the master seed and may run on a thread pool;
+they merge in batch order, so results are bit-identical for any
+``threads``.
 
 Singular assignments (covariate collinear with the group dummies) are
 excluded and counted by the exact engine, and redrawn and counted by the
@@ -257,15 +258,14 @@ def exact_distribution(
     sizes: GroupSizes,
     mode: str = "all",
     limit: int = DEFAULT_ENUMERATION_LIMIT,
-    threads: int = 1,
     dump_path=None,
 ) -> ExactSummary:
     """Evaluate both estimators on every enumerated assignment.
 
-    Each batch is reduced to moments as it arrives and, with
-    ``dump_path``, written to the dump; no per-assignment estimate is
-    kept.  Raises :class:`SingularDesignError` when every assignment is
-    singular.
+    One serial loop: a thread pool was never clearly faster.  Each batch
+    is reduced to moments as it arrives and, with ``dump_path``, written
+    to the dump; no per-assignment estimate is kept.  Raises
+    :class:`SingularDesignError` when every assignment is singular.
     """
     sizes.validate_for(pop.n)
     total = assignment_count(sizes, mode)  # raises for unknown mode
@@ -273,20 +273,16 @@ def exact_distribution(
     truth = evaluator.truth
 
     itt, mr, q_hat = _Moments(3), _Moments(3), _Moments(1, order=1)
-
-    def compute(codes):
-        return {**evaluator.evaluate_codes(codes), "codes": codes}
-
-    results = _process_in_order(iter_code_batches(sizes, mode, limit), compute, threads)
-    with _open_dump(dump_path, "assignment") as dump, closing(results):
-        for res in results:
+    with _open_dump(dump_path, "assignment") as dump:
+        for codes in iter_code_batches(sizes, mode, limit):
+            res = evaluator.evaluate_codes(codes)
             # a boolean mask copies the batch even when it keeps every row
             keep = slice(None) if res["valid"].all() else res["valid"]
             itt.add(res["itt"][keep] - truth)
             mr.add(res["mr"][keep] - truth)
             q_hat.add(res["q_hat"][keep, None])
             if dump is not None:
-                _dump_rows(dump, _labels(res["codes"]), res)
+                _dump_rows(dump, _labels(codes), res)
         if itt.count == 0:
             raise SingularDesignError("all assignments are singular")
     return ExactSummary(

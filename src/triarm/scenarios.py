@@ -259,7 +259,7 @@ class ScenarioResult:
         return row
 
 
-def _run_table2(threads: int = 1) -> ScenarioResult:
+def _run_table2() -> ScenarioResult:
     result = ScenarioResult("table2")
     pop = demo_population()  # raw covariate scale: the stored z coefficient uses it
     sizes = GroupSizes(1, 1, 4)
@@ -273,7 +273,7 @@ def _run_table2(threads: int = 1) -> ScenarioResult:
     matched_modes = []
     summaries = {}
     for mode in ("all", "a-before-b"):
-        summary = exact_distribution(pop, sizes, mode=mode, threads=threads)
+        summary = exact_distribution(pop, sizes, mode=mode)
         summaries[mode] = summary
         values = {
             "effect_a": summary.mr_mean[0],
@@ -319,7 +319,7 @@ def _run_table2(threads: int = 1) -> ScenarioResult:
     return result
 
 
-def _run_example2(threads: int = 1) -> ScenarioResult:
+def _run_example2() -> ScenarioResult:
     result = ScenarioResult("example2")
     spec = identity_spec(1.0)
     sigma, q = sigma_matrix(spec)
@@ -332,7 +332,7 @@ def _run_example2(threads: int = 1) -> ScenarioResult:
     return result
 
 
-def _run_example3(threads: int = 1) -> ScenarioResult:
+def _run_example3() -> ScenarioResult:
     result = ScenarioResult("example3")
     q, p, var = 0.5, (0.3, 0.45, 0.25), 1.5
     gain = adjustment_gain(additive_spec(q, p, var))
@@ -342,7 +342,7 @@ def _run_example3(threads: int = 1) -> ScenarioResult:
     return result
 
 
-def _run_example4(threads: int = 1) -> ScenarioResult:
+def _run_example4() -> ScenarioResult:
     result = ScenarioResult("example4")
     boundary = adjustment_gain(covariate_sum_spec(2.0 / 3.0))
     result.check("gamma_boundary", boundary.gamma, 0.0, SYMBOLIC_TOL)
@@ -352,11 +352,11 @@ def _run_example4(threads: int = 1) -> ScenarioResult:
     return result
 
 
-def _run_theorem5(threads: int = 1) -> ScenarioResult:
+def _run_theorem5() -> ScenarioResult:
     result = ScenarioResult("theorem5")
     pop, _ = normalize_z(demo_population())
     sizes = GroupSizes(2, 2, 2)
-    summary = exact_distribution(pop, sizes, threads=threads)
+    summary = exact_distribution(pop, sizes)
     for i, label in enumerate(("bias_a", "bias_b", "bias_c")):
         result.check(label, summary.mr_bias[i], 0.0, BIAS_TOL)
     result.check(
@@ -367,10 +367,10 @@ def _run_theorem5(threads: int = 1) -> ScenarioResult:
     return result
 
 
-def _run_theorem6(threads: int = 1) -> ScenarioResult:
+def _run_theorem6() -> ScenarioResult:
     result = ScenarioResult("theorem6")
     pop, _ = normalize_z(conditional_constancy_population())
-    summary = exact_distribution(pop, GroupSizes(2, 2, 2), threads=threads)
+    summary = exact_distribution(pop, GroupSizes(2, 2, 2))
     for i, label in enumerate(("bias_a", "bias_b", "bias_c")):
         result.check(label, summary.mr_bias[i], 0.0, BIAS_TOL)
     result.info("singular_count", summary.singular_count)
@@ -389,10 +389,10 @@ _RUNNERS = {
 SCENARIO_NAMES = tuple(_RUNNERS)
 
 
-def run_scenario(name: str, threads: int = 1) -> ScenarioResult:
+def run_scenario(name: str) -> ScenarioResult:
     if name not in _RUNNERS:
         raise ValueError(f"unknown scenario {name!r}; valid names: {', '.join(SCENARIO_NAMES)}")
-    return _RUNNERS[name](threads=threads)
+    return _RUNNERS[name]()
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,9 @@ from .population import (
 #: Response variable observed in each group.
 RESPONSE_OF_GROUP = {"A": "a", "B": "b", "C": "c"}
 
+#: The three pairwise contrasts, in report order.
+PAIRS = (("A", "B"), ("A", "C"), ("B", "C"))
+
 
 def _warn_if_unnormalized(pop: Population, where: str) -> None:
     if not is_normalized_z(pop):
@@ -292,12 +295,11 @@ def theory_report(pop: Population, sizes: GroupSizes, pair: tuple[str, str] = ("
     spec = plugin_spec(pop, sizes)
     sigma, q = sigma_matrix(spec)
     nominal = nominal_asymptotics(spec)
-    pairs = [("A", "B"), ("A", "C"), ("B", "C")]
     return TheoryReport(
         moments=moment_set(pop),
         q_tilde=q_tilde(pop, sizes),
         bias=bias_k(pop, sizes),
-        itt_variances={f"{s}-{t}": itt_pair_variance(pop, sizes, (s, t)) for s, t in pairs},
+        itt_variances={f"{s}-{t}": itt_pair_variance(pop, sizes, (s, t)) for s, t in PAIRS},
         q=q,
         sigma=sigma,
         sigma_sq=nominal.sigma_sq,

@@ -771,6 +771,7 @@ _EDGES = ["none"] * 6 + [
     "one rep",
     "require normalized",
     "a-before-b",
+    "NUL cell",
 ]
 
 
@@ -791,6 +792,11 @@ def cli_cases(draw):
             row[0] = draw(st.sampled_from(_EXTREME_CELLS))
     if edge == "ragged row":
         rows[-1].append("1")
+    header = ["a", "b", "c", "z"]
+    if edge == "NUL cell":
+        row = draw(st.sampled_from([header, *rows]))
+        k = draw(st.integers(0, 3))
+        row[k] = draw(st.sampled_from(["\x00", "\x00" + row[k], row[k] + "\x00"]))
     # padded, quoted and BOM-led files read like plain ones
     if draw(st.integers(0, 19)) == 19:  # Hypothesis favours 0: the rare branch is the top
         rows[0][0] = _LONG_PADDING + rows[0][0]
@@ -799,7 +805,7 @@ def cli_cases(draw):
             k = draw(st.integers(0, 3))
             row[k] = f'"{row[k]}"'
     bom = draw(st.sampled_from(["", "\ufeff"]))
-    text = bom + "\n".join(["a,b,c,z", *map(",".join, rows)]) + "\n"
+    text = bom + "\n".join(map(",".join, [header, *rows])) + "\n"
 
     command = draw(st.sampled_from(["analyze", "enumerate", "simulate"]))
     replicate = draw(st.integers(1, 3))

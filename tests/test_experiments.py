@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import functools
 import itertools
 import threading
 import time
@@ -28,6 +29,7 @@ from triarm import (
     prop1_moments,
 )
 from triarm.assignment import assignment_count, enumerate_assignments, worker_generator
+from triarm.cli import main
 from triarm.estimators import BatchEvaluator
 from triarm.experiments import _batch_sizes, _Moments, _process_in_order
 from triarm.scenarios import (
@@ -45,10 +47,10 @@ def reference_dump(path, first_column, batches):
     """The dump of ``batches``, written row by row by ``csv.writer``.
 
     ``batches`` are the result dicts the engine dumped, in order.  Exact
-    rows are keyed by their label sequence, Monte Carlo rows by replicate
-    index; every value is written as ``repr(float(v))``.
+    rows are keyed by the label sequences the engine passed with them,
+    Monte Carlo rows by replicate index; every value is written as
+    ``repr(float(v))``.
     """
-    letters = np.array(["A", "B", "C"])
     written = 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -57,8 +59,8 @@ def reference_dump(path, first_column, batches):
         )
         for res in batches:
             rows = len(res["q_hat"])
-            if "codes" in res:
-                keys = ["".join(row) for row in letters[res["codes"]]]
+            if first_column == "assignment":
+                keys = res["keys"]
             else:
                 keys = range(written, written + rows)
             written += rows
@@ -73,12 +75,12 @@ def reference_dump(path, first_column, batches):
 
 @pytest.fixture()
 def dumped_batches(monkeypatch):
-    """Copies of the batches the engines pass to ``experiments._dump_rows``."""
+    """Copies of the batches, with their keys, the engines pass to ``experiments._dump_rows``."""
     original = triarm.experiments._dump_rows
     batches = []
 
     def recording(fh, keys, res):
-        batches.append({key: np.copy(value) for key, value in res.items()})
+        batches.append({"keys": list(keys), **{k: np.copy(v) for k, v in res.items()}})
         return original(fh, keys, res)
 
     monkeypatch.setattr(triarm.experiments, "_dump_rows", recording)
@@ -148,12 +150,6 @@ class TestExactEngine:
         pop = Population([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
         with pytest.raises(SingularDesignError, match="all assignments"):
             exact_distribution(pop, GroupSizes(1, 1, 1))
-
-    def test_threads_do_not_change_results(self, table_pop):
-        a = exact_distribution(table_pop, GroupSizes(2, 2, 2), threads=1)
-        b = exact_distribution(table_pop, GroupSizes(2, 2, 2), threads=3)
-        np.testing.assert_array_equal(a.mr_mean, b.mr_mean)
-        np.testing.assert_array_equal(a.mr_cov, b.mr_cov)
 
     def test_table_and_dump(self, table_pop, tmp_path):
         path = tmp_path / "dump.csv"
@@ -431,13 +427,24 @@ class TestThreadCap:
         monkeypatch.setattr(triarm.experiments, "ThreadPoolExecutor", recording)
         return sizes
 
+    @pytest.mark.filterwarnings("ignore:q_tilde")
     def test_pool_capped_at_usable_cpus(self, table_pop, monkeypatch):
         sizes = self.record_pools(monkeypatch)
-        capped = exact_distribution(table_pop, GroupSizes(2, 2, 2), threads=10**6)
+        run = functools.partial(monte_carlo, table_pop, GroupSizes(2, 2, 2), 2000, 4, batch_size=128)
+        capped = run(threads=10**6)
         usable = triarm.experiments._usable_cpus()
         assert sizes == ([usable] if usable > 1 else [])
-        serial = exact_distribution(table_pop, GroupSizes(2, 2, 2), threads=1)
+        serial = run(threads=1)
         np.testing.assert_array_equal(capped.mr_cov, serial.mr_cov)
+
+    def test_enumerate_builds_no_pool(self, tmp_path, monkeypatch, capsys):
+        sizes = self.record_pools(monkeypatch)
+        monkeypatch.setattr(triarm.experiments, "_usable_cpus", lambda: 3)
+        path = tmp_path / "pop.csv"
+        path.write_text("a,b,c,z\n0,1,2,0\n0,1,2,0\n0,1,2,0\n2,3,4,-2\n2,3,4,-2\n4,5,6,4\n")
+        argv = ["enumerate", str(path), "--sizes", "2,2,2", "--format", "json", "--threads", "3"]
+        assert main(argv) == 0
+        assert sizes == []
 
     def test_look_ahead_window_capped(self, monkeypatch):
         sizes = self.record_pools(monkeypatch)
