@@ -33,7 +33,11 @@ from .population import moment_set
 
 #: An assignment is singular when the mean square of the within-group
 #: centered covariate falls below this.  True singularity (covariate in
-#: the span of the group dummies) is exact; the slack absorbs roundoff.
+#: the span of the group dummies) is exact; for a normalized ``z`` the
+#: slack absorbs roundoff only.  The threshold is absolute, so for a ``z``
+#: of another scale (``--normalize off``, or a library caller's raw
+#: covariate) it moves with that scale: roundoff can clear it, and a
+#: nonsingular design can fall below it (ROADMAP item 1, Defect B).
 SINGULARITY_TOL = 1e-12
 
 
@@ -267,9 +271,11 @@ class BatchEvaluator:
             np.column_stack([self.responses[k], self.products[k], self.squares[k], self.z])
             for k in range(3)
         )
-        # a BLAS dot, not an fsum: it fixes the kernel's output bits
+        # a BLAS dot, not a population sum (population._exact_sum, which has
+        # math.fsum's bits): it fixes the kernel's output bits
         self.z_sum_sq = float(pop.z @ pop.z)
-        # a numpy mean, not the moment set's fsum one: it fixes max_abs_dev_az_a's bits
+        # a numpy mean, not the moment set's exactly rounded one: it fixes
+        # max_abs_dev_az_a's bits
         self.az_mean = float(self.products[0].mean())
         self.q_tilde = q_tilde
 

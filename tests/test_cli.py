@@ -703,6 +703,25 @@ class TestOverflow:
             assert "error: n times the sum of squares of a is not finite" in result.stderr
             assert result.stdout == ""
 
+    @pytest.mark.parametrize("body", list(OVERFLOW_BODIES))
+    def test_analyze_outcome_past_exact_sum_cutoff(self, tmp_path, capsys, monkeypatch, body):
+        # 200 copies make n = 1,200, long enough for the population sums to
+        # run their extraction kernel: its guards, not its size cutoff, must
+        # keep math.fsum's outcomes
+        assert 6 * 200 >= population._EXACT_SUM_MIN_SIZE
+        path = write_population(tmp_path, "a,b,c,z\n" + OVERFLOW_BODIES[body])
+        argv = ("analyze", path, "--sizes", "400,400,400", "--replicate", "200", "--format", "json")
+        scaled = run_cli_process(*argv)
+        small = run_cli_process("analyze", path, "--sizes", "2,2,2", "--format", "json")
+        expected = small.stderr
+        if body == "mean":
+            # fsum's running sum over 200 copies of a leaves the float range,
+            # though a's mean does not, so a is named before b
+            expected = expected.replace("the mean of b", "the mean of a")
+        assert (scaled.returncode, scaled.stderr) == (small.returncode, expected)
+        monkeypatch.setattr(population, "_EXACT_SUM_MIN_SIZE", sys.maxsize)
+        assert run_cli(capsys, *argv) == (scaled.returncode, scaled.stdout, scaled.stderr)
+
 
 class TestReproduce:
     @pytest.mark.parametrize("scenario", ["example2", "example3", "example4", "theorem5", "theorem6"])

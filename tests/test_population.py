@@ -2,6 +2,7 @@ import csv
 import math
 import os
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -424,6 +425,183 @@ class TestOverflow:
         # each fourth power is finite, their sum is not
         ms = moment_set(self.pop(a=(1e77, 1e77, 1e77)))
         assert ms.fourth_abs_moments[0] == math.inf
+
+
+def reference_mean(values, label=None):
+    """The population mean as ``math.fsum`` gives it, outcomes included."""
+    try:
+        mean = math.fsum(values.tolist()) / values.size
+    except OverflowError:
+        mean = math.inf
+    except ValueError:
+        mean = math.nan
+    if label is not None and not math.isfinite(mean):
+        raise ValueError(f"{label} is not finite: the population's values are too large")
+    return mean
+
+
+def _sum_outcome(function, values):
+    """``float.hex`` of the result, or the exception's type and message; numpy warnings raise."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return float.hex(function(values))
+        except (OverflowError, ValueError) as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+
+#: Lengths around the exact-sum kernel's size cutoff and around the
+#: steps of its ``2**m >= n + 2``.
+_SUM_LENGTHS = (1000, 1001, 1022, 1023, 1024, 2046, 2047, 4094, 999, 3, 1)
+
+
+@st.composite
+def sum_arrays(draw):
+    """Arrays to sum: magnitudes from subnormal to ``2**1020``, exact
+    cancellation, signed zeros, all zeros, inf and NaN.
+
+    The elements come from a numpy generator seeded by one drawn
+    integer, so a long array costs a few draws.
+    """
+    n = draw(st.one_of(st.sampled_from(_SUM_LENGTHS), st.integers(1000, 3000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # log2 of the largest magnitude, and how many binades below it values reach
+    top = draw(
+        st.one_of(
+            st.sampled_from((0, 1000, 1008, 1010, 1012, 1014, 1020, -1022, -1074)),
+            st.integers(-1074, 1020),
+        )
+    )
+    span = draw(st.one_of(st.sampled_from((0, 1, 30, 60, 300)), st.integers(0, 2094)))
+    exponents = rng.integers(max(top - span, -1074), top, n, endpoint=True)
+    values = np.ldexp(rng.uniform(0.5, 1.0, n), exponents)
+    sign = draw(st.sampled_from(("+", "-", "mixed")))
+    if sign == "-":
+        values = -values
+    elif sign == "mixed":
+        values *= rng.choice([-1.0, 1.0], n)
+    if draw(st.booleans()):  # pairs x, -x
+        half = n // 2
+        values[half : 2 * half] = -values[:half]
+        rng.shuffle(values)
+    zeros = draw(st.sampled_from(("none", "none", "none", "some", "all")))
+    if zeros != "none":
+        where = rng.random(n) < (0.1 if zeros == "some" else 1.0)
+        values[where] = rng.choice(draw(st.sampled_from(([0.0], [-0.0], [0.0, -0.0]))), where.sum())
+    specials = draw(
+        st.sampled_from(((),) * 8 + ((math.inf,), (-math.inf,), (math.nan,), (math.inf, -math.inf)))
+    )
+    values[rng.integers(0, n, len(specials))] = list(specials)
+    return values
+
+
+class TestExactSum:
+    """The extraction kernel against ``math.fsum``: the same bits, or the same outcome."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(values=sum_arrays())
+    @example(values=np.full(1000, -0.0))
+    # fsum's running sum overflows though the total does not
+    @example(values=np.array([1e308, 1e308, -1e308] * 400))
+    # x, -x pairs at n = 2**10 - 2 whose kernel exponent is at, then one past, the bound
+    @example(values=np.ldexp(np.tile([0.75, -0.75], 511), 1010))
+    @example(values=np.ldexp(np.tile([0.75, -0.75], 511), 1011))
+    @example(values=np.concatenate([np.full(1500, 1e-300), [math.inf]]))
+    def test_matches_fsum(self, values):
+        assert _sum_outcome(population._exact_sum, values) == _sum_outcome(
+            lambda v: math.fsum(v.tolist()), values
+        )
+        assert _sum_outcome(population._exact_mean, values) == _sum_outcome(reference_mean, values)
+        assert _sum_outcome(
+            lambda v: population._exact_mean(v, "the mean of x"), values
+        ) == _sum_outcome(lambda v: reference_mean(v, "the mean of x"), values)
+
+    @pytest.mark.parametrize("n, full_length_fsums", [(999, 1), (5000, 0)])
+    def test_kernel_runs_from_the_cutoff(self, monkeypatch, n, full_length_fsums):
+        lengths = []
+
+        def fsum(values):
+            values = list(values)
+            lengths.append(len(values))
+            return math.fsum(values)
+
+        monkeypatch.setattr(population, "math", SimpleNamespace(**{**vars(math), "fsum": fsum}))
+        values = np.random.default_rng(0).normal(3.0, 2.0, n)
+        assert population._exact_sum(values) == math.fsum(values.tolist())
+        assert lengths.count(n) == full_length_fsums
+        assert len(lengths) == 1
+
+
+def wide_population(seed, shifted):
+    """5,000 rows: a column shifted by 1e8 and one spanning 1e-30 to 1e30 in magnitude.
+
+    ``shifted`` names the shifted column; the next one in a, b, c, z
+    (cyclically) is the wide one.
+    """
+    rng = np.random.default_rng(seed)
+    n = 5000
+    columns = {name: rng.normal(1.0, 2.0, n) for name in VARIABLES}
+    columns["z"] += 0.5 * columns["c"]
+    columns[shifted] += 1e8
+    wide = VARIABLES[(VARIABLES.index(shifted) + 1) % 4]
+    columns[wide] = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-30, 30, n)
+    return Population(*(columns[name] for name in VARIABLES))
+
+
+def _bits(values):
+    return [float(x).hex() for x in np.ravel(values)]
+
+
+_WIDE_CASES = pytest.mark.parametrize("seed, shifted", [(1, "a"), (2, "c"), (3, "z")])
+
+
+class TestMomentsAboveCutoff:
+    """Moments of 5,000-row populations, bit for bit against ``math.fsum``."""
+
+    @_WIDE_CASES
+    def test_moment_set(self, seed, shifted):
+        pop = wide_population(seed, shifted)
+        columns = [pop.variable(name) for name in VARIABLES]
+        means = [reference_mean(x) for x in columns]
+        cov = [
+            [reference_mean((x - mx) * (y - my)) for y, my in zip(columns, means)]
+            for x, mx in zip(columns, means)
+        ]
+        products = [x * pop.z for x in columns[:3]]
+        product_means = [reference_mean(xz) for xz in products]
+        product_covs = [
+            reference_mean((xz - m) * (pop.z - means[3])) for xz, m in zip(products, product_means)
+        ]
+        ms = moment_set(pop)
+        assert _bits(ms.means) == _bits(means)
+        assert _bits(ms.covariance) == _bits(cov)
+        assert _bits(ms.product_means) == _bits(product_means)
+        assert _bits(ms.product_covariances) == _bits(product_covs)
+        assert _bits(ms.fourth_abs_moments) == _bits([reference_mean(np.abs(x) ** 4) for x in columns])
+
+    @_WIDE_CASES
+    def test_z_moments(self, seed, shifted):
+        pop = wide_population(seed, shifted)
+        want = (reference_mean(pop.z), reference_mean(pop.z * pop.z))
+        assert _bits(z_moments(pop)) == _bits(want)
+
+    @_WIDE_CASES
+    def test_centered_product_covariances(self, seed, shifted):
+        pop = wide_population(seed, shifted)
+        means = moment_set(pop).means
+        want = []
+        for x, m in zip((pop.a, pop.b, pop.c), means[:3]):
+            xz = (x - m) * pop.z
+            want.append(reference_mean((xz - reference_mean(xz)) * (pop.z - means[3])))
+        assert _bits(population.centered_product_covariances(pop, means)) == _bits(want)
+
+    @_WIDE_CASES
+    def test_normalize_z(self, seed, shifted):
+        pop = wide_population(seed, shifted)
+        _, zmap = normalize_z(pop)
+        shift = reference_mean(pop.z)
+        scale = math.sqrt(reference_mean((pop.z - shift) * (pop.z - shift)))
+        assert _bits([zmap.shift, zmap.scale]) == _bits([shift, scale])
 
 
 class TestZMoments:
