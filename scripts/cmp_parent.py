@@ -1,0 +1,142 @@
+"""Byte-identity check of the command-line tool against another commit.
+
+Usage::
+
+    python3 scripts/cmp_parent.py REF
+
+Extracts ``git archive REF`` into a temporary directory and runs one fixed
+list of ``triarm`` commands with that tree's ``src`` and with the working
+tree's.  The list covers:
+
+* the four benchmark workloads on their seed-5 populations
+  (``perfbench/workloads.py``), with ``simulate`` at the benchmark's
+  reduced replicate count and ``--threads`` 1 and 2;
+* ``simulate`` on a 4-subject population whose draws are often singular,
+  so batches redraw, and ``enumerate`` on it (n <= 4: no residual degrees
+  of freedom, so ``sigma_hat_sq`` is ``null``);
+* ``enumerate`` in both modes with ``--dump``;
+* ``reproduce`` for every scenario.
+
+For each command it compares stdout, stderr, the exit code and the dump
+file's bytes, prints every command that differs, and exits 1 if any does.
+Both trees read the same input files and write to the same dump path, so
+paths in the output agree.  Everything is written to the temporary
+directory, which is removed at the end; nothing is written inside the
+repository, bytecode caches included.  Takes about 15 s on a two-core
+host.
+"""
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.dont_write_bytecode = True
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import (  # noqa: E402
+    WORKLOADS,
+    command_argv,
+    generate_population,
+    invariance_argvs,
+    write_population,
+)
+
+SEED = 5
+SCENARIOS = ("table2", "example2", "example3", "example4", "theorem5", "theorem6")
+
+#: The 4-subject population of ``test_redraws_match_whole_batch``: at sizes
+#: 1,1,2 many draws are singular.
+SINGULAR_COLUMNS = {
+    "a": [1.0, 2.0, 3.0, 4.0],
+    "b": [0.0, 1.0, 2.0, 3.0],
+    "c": [5.0, 6.0, 7.0, 8.0],
+    "z": [1.0, 1.0, 2.0, 2.0],
+}
+
+
+def _write_csv(path: Path, columns: dict) -> Path:
+    rows = zip(*(columns[k] for k in "abcz"))
+    path.write_text("a,b,c,z\n" + "".join(f"{a!r},{b!r},{c!r},{z!r}\n" for a, b, c, z in rows))
+    return path
+
+
+def command_list(work: Path) -> list:
+    """The fixed commands as ``(argv, dump_path or None)``, inputs written to ``work``."""
+    dump = work / "dump.csv"
+    commands = []
+    for workload in WORKLOADS.values():
+        csv_path = work / f"{workload.name}.csv"
+        write_population(csv_path, generate_population(SEED, workload.n))
+        if workload.seeded:
+            commands.extend((argv, None) for argv in invariance_argvs(workload, csv_path, SEED))
+        else:
+            argv = command_argv(workload, csv_path, SEED, dump)
+            commands.append((argv, dump if workload.dump else None))
+    singular = str(_write_csv(work / "singular4.csv", SINGULAR_COLUMNS))
+    for argv in (
+        ["simulate", singular, "--sizes", "1,1,2", "--reps", "3000", "--seed", "4"],
+        ["enumerate", singular, "--sizes", "1,1,2"],
+    ):
+        commands.append((argv + ["--format", "json", "--dump", str(dump)], dump))
+    small = work / "small12.csv"
+    write_population(small, generate_population(SEED, 12))
+    for mode in ("all", "a-before-b"):
+        argv = ["enumerate", str(small), "--sizes", "4,4,4", "--mode", mode, "--dump", str(dump)]
+        commands.append((argv, dump))
+    for name in SCENARIOS:
+        commands.append((["reproduce", "--scenario", name, "--format", "json"], None))
+    return commands
+
+
+def run(src: Path, argv: list, dump, cwd: Path) -> tuple:
+    """(stdout, stderr, exit code, dump bytes) of one command run on ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "triarm.cli", *argv], cwd=cwd, env=env, capture_output=True
+    )
+    dumped = None
+    if dump is not None and dump.exists():
+        dumped = dump.read_bytes()
+        dump.unlink()
+    return proc.stdout, proc.stderr, proc.returncode, dumped
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        print("usage: python3 scripts/cmp_parent.py REF", file=sys.stderr)
+        return 2
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", args[0]], capture_output=True)
+    if archive.returncode != 0:
+        sys.stderr.write(archive.stderr.decode(errors="replace"))
+        return 2
+    with tempfile.TemporaryDirectory(prefix="cmp_parent.") as tmp:
+        tmp = Path(tmp)
+        parent = tmp / "parent"
+        parent.mkdir()
+        subprocess.run(["tar", "-x", "-C", str(parent)], input=archive.stdout, check=True)
+        work = tmp / "work"
+        work.mkdir()
+        commands = command_list(work)
+        differ = 0
+        for cmd, dump in commands:
+            before = run(parent / "src", cmd, dump, work)
+            after = run(ROOT / "src", cmd, dump, work)
+            parts = [
+                name
+                for name, a, b in zip(("stdout", "stderr", "exit code", "dump"), before, after)
+                if a != b
+            ]
+            if parts:
+                differ += 1
+                print(f"DIFFERS ({', '.join(parts)}): triarm {' '.join(cmd)}")
+    print(f"{differ} of {len(commands)} commands differ from {args[0]}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

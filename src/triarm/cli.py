@@ -182,6 +182,8 @@ def _parse_pair(text: str) -> tuple[str, str]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 2 or any(p not in GROUPS for p in parts):
         raise ValueError(f"--pair expects two of A,B,C, got {text!r}")
+    if parts[0] == parts[1]:
+        raise ValueError(f"--pair expects two distinct groups, got {text!r}")
     return parts[0], parts[1]
 
 

@@ -13,10 +13,11 @@ independent computation routes are provided and cross-checked in tests:
   row by its Schur complement solves it in closed form from raw group
   sums.  One batched kernel implements it: :class:`BatchEvaluator` runs
   it over many assignments for the engines, and
-  :func:`mr_via_normal_equations` is its one-row call.  Group sums
-  travel as one (m,) column per group and are added as
-  ``0.0 + A + B + C``, left to right, which is numpy's row-wise sum of
-  three: its +0.0 start makes three -0.0 terms sum to +0.0.
+  :func:`mr_via_normal_equations` is its one-row call; both get the
+  nominal covariance from :func:`nominal_covariance`.  Group sums travel
+  as one (m,) column per group and are added as ``0.0 + A + B + C``, left
+  to right, which is numpy's row-wise sum of three: its +0.0 start makes
+  three -0.0 terms sum to +0.0.
 
 Both return the same :class:`MREstimate` contract, including the
 conventional ("nominal") covariance matrix, which randomization does
@@ -122,14 +123,14 @@ def _xtx_inverse(counts: np.ndarray, zbar: np.ndarray, f_sq: np.ndarray) -> np.n
     return inv
 
 
-def _group_sum_regression(t, g, u, ysq, zsq, counts, n, want_nominal=False) -> dict:
+def _group_sum_regression(t, g, u, ysq, zsq, counts, n) -> dict:
     """Both estimators for m assignments from their raw group sums.
 
     ``t`` and ``g`` are each three per-group (m,) columns, the sums of Y
     and z; ``u`` and ``ysq`` are (m,) sums of zY and Y^2, ``zsq`` is the
     sum of z^2 and ``counts`` the float group counts.  Rows whose design
     is singular come back with ``valid`` False and NaN estimates.
-    ``sigma_hat_sq`` (and so ``nominal_cov``) is NaN when n <= 4.
+    ``sigma_hat_sq`` is NaN when n <= 4.  ``zbar`` holds the z group means.
     """
 
     def over_groups(x, y):
@@ -149,7 +150,7 @@ def _group_sum_regression(t, g, u, ysq, zsq, counts, n, want_nominal=False) -> d
         sigma_sq = np.maximum(e_sq - q * q * f_sq, 0.0) / (n - 4)
     else:
         sigma_sq = np.full(len(q), np.nan)
-    out = {
+    return {
         "itt": ybar,
         "mr": ybar - q[:, None] * zbar,
         "q_hat": q,
@@ -158,10 +159,14 @@ def _group_sum_regression(t, g, u, ysq, zsq, counts, n, want_nominal=False) -> d
         "e_sq": e_sq,
         "f_sq": f_sq,
         "ef": ef,
+        "zbar": zbar,
     }
-    if want_nominal:
-        out["nominal_cov"] = sigma_sq[:, None, None] * _xtx_inverse(counts, zbar, safe_f)
-    return out
+
+
+def nominal_covariance(fit: dict, counts: np.ndarray) -> np.ndarray:
+    """sigma_hat^2 (X'X)^-1 per row of a kernel result; NaN on singular rows and when n <= 4."""
+    safe_f = np.where(fit["valid"], fit["f_sq"], np.nan)
+    return fit["sigma_hat_sq"][:, None, None] * _xtx_inverse(counts, fit["zbar"], safe_f)
 
 
 def _assemble(asg: Assignment, effects, q_hat, sigma_sq, nominal, e_sq, f_sq, ef) -> MREstimate:
@@ -224,10 +229,11 @@ def mr_via_normal_equations(z, Y, asg: Assignment) -> MREstimate:
     t = np.bincount(asg.codes, weights=Y, minlength=3)  # response sums per group
     g = np.bincount(asg.codes, weights=z, minlength=3)  # covariate sums per group
     fit = _group_sum_regression(
-        t[:, None], g[:, None], np.array([z @ Y]), np.array([Y @ Y]), z @ z, counts, asg.n, True
+        t[:, None], g[:, None], np.array([z @ Y]), np.array([Y @ Y]), z @ z, counts, asg.n
     )
     if not fit["valid"][0]:
         raise SingularDesignError()
+    fit["nominal_cov"] = nominal_covariance(fit, counts)
     keys = ("mr", "q_hat", "sigma_hat_sq", "nominal_cov", "e_sq", "f_sq", "ef")
     return _assemble(asg, *(fit[key][0] for key in keys))
 
@@ -240,12 +246,13 @@ class BatchEvaluator:
     index matrix whose leading columns are the A then B then C members
     (sampling).  Rows whose design is singular come back with ``valid``
     False and NaN estimates; callers decide whether to drop or redraw.
-    Built with ``q_tilde``, results also carry the scaled lead term
-    ``zeta`` and ``dev_az_a``, the deviation of group A's mean of ``a * z``
-    from its population mean.
+    Both entry points return the same keys: the group-sum kernel's, plus
+    ``az_a``, group A's mean of ``a * z``.  Callers derive any further
+    statistic from them, the nominal covariance by
+    :func:`nominal_covariance`.
     """
 
-    def __init__(self, pop, sizes: GroupSizes, q_tilde: float | None = None):
+    def __init__(self, pop, sizes: GroupSizes):
         sizes.validate_for(pop.n)
         # exactly rounded means, and any overflow refused before the
         # products below are formed: engine biases are gated at 1e-12
@@ -274,32 +281,22 @@ class BatchEvaluator:
         # a BLAS dot, not a population sum (population._exact_sum, which has
         # math.fsum's bits): it fixes the kernel's output bits
         self.z_sum_sq = float(pop.z @ pop.z)
-        # a numpy mean, not the moment set's exactly rounded one: it fixes
-        # max_abs_dev_az_a's bits
-        self.az_mean = float(self.products[0].mean())
-        self.q_tilde = q_tilde
 
-    def _from_group_sums(self, t, g, zy, ysq, want_nominal):
+    def _from_group_sums(self, t, g, zy, ysq):
         # three per-group (m,) columns each, added A, B, C
         u = zy[0] + zy[1] + zy[2]
         y_sq = 0.0 + ysq[0] + ysq[1] + ysq[2]
-        out = _group_sum_regression(
-            t, g, u, y_sq, self.z_sum_sq, self.counts, self.n, want_nominal
-        )
-        if self.q_tilde is not None:
-            out["dev_az_a"] = np.abs(zy[0] / self.counts[0] - self.az_mean)
-            dev = out["itt"] - self.truth
-            zbar = np.column_stack(g) / self.counts
-            out["zeta"] = np.sqrt(self.n) * (dev - self.q_tilde * zbar)
+        out = _group_sum_regression(t, g, u, y_sq, self.z_sum_sq, self.counts, self.n)
+        out["az_a"] = zy[0] / self.counts[0]
         return out
 
-    def evaluate_codes(self, codes: np.ndarray, want_nominal=False):
+    def evaluate_codes(self, codes: np.ndarray):
         codes = np.asarray(codes)
         sums = [(codes == k).astype(np.float64) @ self.group_columns[k] for k in range(3)]
         t, zy, ysq, g = zip(*(s.T for s in sums))
-        return self._from_group_sums(t, g, zy, ysq, want_nominal)
+        return self._from_group_sums(t, g, zy, ysq)
 
-    def evaluate_index(self, idx: np.ndarray, want_nominal=False):
+    def evaluate_index(self, idx: np.ndarray):
         """Both estimators for the rows of an index matrix.
 
         Each group's column block is copied to a contiguous array once and
@@ -316,4 +313,4 @@ class BatchEvaluator:
             operands = (self.responses[k], self.products[k], self.squares[k], self.z)
             sums.append([x.take(block).sum(axis=1) for x in operands])
         t, zy, ysq, g = zip(*sums)
-        return self._from_group_sums(t, g, zy, ysq, want_nominal)
+        return self._from_group_sums(t, g, zy, ysq)

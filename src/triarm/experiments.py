@@ -28,15 +28,14 @@ import numpy as np
 
 from .assignment import (
     DEFAULT_ENUMERATION_LIMIT,
-    GROUP_CODES,
     GroupSizes,
     assignment_count,
     iter_code_batches,
     worker_generator,
 )
-from .estimators import BatchEvaluator, SingularDesignError
+from .estimators import BatchEvaluator, SingularDesignError, nominal_covariance
 from .population import Population
-from .theory import q_tilde
+from .theory import _pair_codes, q_tilde
 
 
 def _labels(codes: np.ndarray) -> list:
@@ -182,16 +181,12 @@ def _open_dump(path, first_column):
         raise ValueError(f"dump path must not be empty, got {path!r}")
     header = f"{first_column},itt_a,itt_b,itt_c,mr_a,mr_b,mr_c,q_hat,sigma_hat_sq\r\n"
     target = os.path.realpath(path)
-    if os.path.exists(target) and not os.path.isfile(target):
-        # a device or pipe such as /dev/null is written to, never replaced
-        with open(target, "w", newline="", encoding="utf-8") as fh:
-            fh.write(header)
-            yield fh
-        return
+    # a device or pipe such as /dev/null is written to, never replaced
+    replace = not os.path.exists(target) or os.path.isfile(target)
     head, tail = os.path.split(target)
-    tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
+    tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp") if replace else target
     try:
-        fh = open(tmp, "x", newline="", encoding="utf-8")
+        fh = open(tmp, "x" if replace else "w", newline="", encoding="utf-8")
     except OSError as exc:
         exc.filename = os.fspath(path)  # name the file the caller asked for
         raise
@@ -199,9 +194,11 @@ def _open_dump(path, first_column):
         with fh:
             fh.write(header)
             yield fh
-        os.replace(tmp, target)
+        if replace:
+            os.replace(tmp, target)
     except BaseException:
-        os.remove(tmp)
+        if replace:
+            os.remove(tmp)
         raise
 
 
@@ -306,11 +303,12 @@ def contrast_symmetry_deviation(pop: Population, sizes: GroupSizes, pair=("A", "
     the adjusted estimate of ``pair[1] - pair[0]`` on the non-singular
     ones.  When that contrast is distributed symmetrically about the true
     difference, the sorted centered values cancel pairwise and this
-    returns roundoff.  Raises :class:`SingularDesignError` when every
+    returns roundoff.  Raises :class:`ValueError` unless ``pair`` names
+    two distinct groups, and :class:`SingularDesignError` when every
     assignment is singular.
     """
+    s, t = _pair_codes(pair)
     evaluator = BatchEvaluator(pop, sizes)
-    s, t = (GROUP_CODES[g] for g in pair)
     parts = []
     for codes in iter_code_batches(sizes):
         res = evaluator.evaluate_codes(codes)
@@ -392,12 +390,15 @@ def monte_carlo(
         raise ValueError("reps must be at least 2")
     sizes.validate_for(pop.n)
     qt = q_tilde(pop, sizes)
-    evaluator = BatchEvaluator(pop, sizes, q_tilde=qt)
+    evaluator = BatchEvaluator(pop, sizes)
     truth = evaluator.truth
     n = pop.n
+    # a numpy mean, not the moment set's exactly rounded one: it fixes
+    # max_abs_dev_az_a's bits
+    az_mean = float((pop.a * pop.z).mean())
 
     itt, mr, zeta = _Moments(3), _Moments(3), _Moments(3, order=4)
-    q_hat, sigma_hat_sq, nominal = (_Moments(dim, order=1) for dim in (1, 1, 16))
+    scalars = _Moments(18, order=1)  # q_hat, sigma_hat_sq, nominal_cov's 16 entries
 
     base_row = np.arange(n, dtype=np.int64)
     chunk_rows = max(1, _DRAW_CHUNK_ELEMENTS // n)
@@ -408,9 +409,7 @@ def monte_carlo(
     def compute(job):
         index, size = job
         rng = worker_generator(seed, index)
-        res = None
-        drawn = 0
-        bad = np.arange(size)
+        res, drawn, bad = None, 0, np.arange(size)
         # round 0 draws the batch, later rounds redraw its singular rows
         for _ in range(1 + MAX_REDRAW_ROUNDS):
             if bad.size == 0:
@@ -421,7 +420,7 @@ def monte_carlo(
                 rows = bad[start : start + chunk_rows]
                 idx = np.tile(base_row, (rows.size, 1))
                 rng.permuted(idx, axis=1, out=idx)
-                patch = evaluator.evaluate_index(idx, want_nominal=True)
+                patch = evaluator.evaluate_index(idx)
                 if res is None:
                     res = {k: np.empty((size,) + a.shape[1:], a.dtype) for k, a in patch.items()}
                 for key, arr in patch.items():
@@ -436,6 +435,7 @@ def monte_carlo(
                 f"singular design: {singular} of {drawn} draws in batch {index} were "
                 f"singular (fraction {singular / drawn:.3g}) after {MAX_REDRAW_ROUNDS} rounds"
             )
+        res["nominal_cov"] = nominal_covariance(res, evaluator.counts)
         res["redraws"] = redraws
         return res
 
@@ -444,13 +444,13 @@ def monte_carlo(
     with _open_dump(dump_path, "replicate") as dump, closing(results):
         for res in results:
             redraws += res["redraws"]
-            itt.add(res["itt"] - truth)
+            dev = res["itt"] - truth
+            itt.add(dev)
             mr.add(res["mr"] - truth)
-            zeta.add(res["zeta"])
-            q_hat.add(res["q_hat"][:, None])
-            sigma_hat_sq.add(res["sigma_hat_sq"][:, None])
-            nominal.add(res["nominal_cov"].reshape(-1, 16))
-            max_dev = max(max_dev, float(res["dev_az_a"].max()))
+            zeta.add(np.sqrt(n) * (dev - qt * res["zbar"]))
+            nominal = res["nominal_cov"].reshape(-1, 16)
+            scalars.add(np.column_stack([res["q_hat"], res["sigma_hat_sq"], nominal]))
+            max_dev = max(max_dev, float(np.abs(res["az_a"] - az_mean).max()))
             if dump is not None:
                 _dump_rows(dump, range(written, written + len(res["q_hat"])), res)
                 written += len(res["q_hat"])
@@ -471,9 +471,9 @@ def monte_carlo(
         mr_bias=mr.mean,
         mr_cov=mr_cov,
         mr_se=np.sqrt(np.diag(mr_cov) / reps),
-        mean_q_hat=float(q_hat.mean[0]),
-        mean_sigma_hat_sq=float(sigma_hat_sq.mean[0]),
-        mean_nominal_cov=nominal.mean.reshape(4, 4),
+        mean_q_hat=float(scalars.mean[0]),
+        mean_sigma_hat_sq=float(scalars.mean[1]),
+        mean_nominal_cov=scalars.mean[2:].reshape(4, 4),
         zeta_mean=zeta.mean,
         zeta_cov=zeta.m2 / (reps - 1),
         zeta_skewness=zeta_skewness,

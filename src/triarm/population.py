@@ -15,12 +15,12 @@ mean and mean square of ``z`` (:func:`z_moments`); every other module
 reads them.  Each sum is :func:`_exact_sum`: the same float as
 ``math.fsum``, from a vectorized error-free extraction for arrays of at
 least :data:`_EXACT_SUM_MIN_SIZE` finite values and from ``math.fsum``
-itself otherwise.  Two sums are taken elsewhere on purpose, both in
-:class:`~triarm.estimators.BatchEvaluator`, because their exact bits fix
-the engines' output: ``az_mean``, the mean of ``a * z``, is a numpy
-mean, and ``z_sum_sq`` is a BLAS dot product.  A sum that leaves the
-float range raises a :class:`ValueError` naming its variable; only the
-fourth absolute moments may be infinite.
+itself otherwise.  Two sums are taken elsewhere on purpose, because their
+exact bits fix the engines' output: ``az_mean``, the mean of ``a * z``,
+is a numpy mean in :func:`~triarm.experiments.monte_carlo`, and
+``z_sum_sq`` a BLAS dot product in :class:`~triarm.estimators.BatchEvaluator`.
+A sum that leaves the float range raises a :class:`ValueError` naming
+its variable; only the fourth absolute moments may be infinite.
 """
 
 import csv

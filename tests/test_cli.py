@@ -227,6 +227,7 @@ class TestAnalyze:
             (["--sizes", "1,2"], "--sizes expects three comma-separated counts, got '1,2'"),
             (["--sizes", "a,b,c"], "bad --sizes 'a,b,c': invalid literal for int()"),
             (["--sizes", "2,2,2", "--pair", "A"], "--pair expects two of A,B,C, got 'A'"),
+            (["--sizes", "2,2,2", "--pair", "B,B"], "--pair expects two distinct groups, got 'B,B'"),
         ],
     )
     def test_bad_sizes_or_pair_exit_2(self, capsys, table_csv, flags, message):
@@ -381,12 +382,21 @@ class TestDumpTarget:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.pipe", "table1.csv"]
 
     def test_missing_directory_names_file(self, capsys, table_csv, tmp_path):
-        dump = tmp_path / "missing" / "rows.csv"
-        code, _, err = run_cli(
-            capsys, "enumerate", table_csv, "--sizes", "1,1,4", "--dump", str(dump)
-        )
-        assert code == 2
-        assert f"No such file or directory: '{dump}'" in err
+        (tmp_path / "d").mkdir()
+        (tmp_path / "dlink").symlink_to(tmp_path / "d")
+        # a symlink to a directory, and a directory given with its slash,
+        # are named as given, not as the resolved directory
+        cases = [
+            (str(tmp_path / "missing" / "rows.csv"), "No such file or directory"),
+            (str(tmp_path / "dlink"), "Is a directory"),
+            (str(tmp_path / "d") + os.sep, "Is a directory"),
+        ]
+        for dump, reason in cases:
+            code, _, err = run_cli(
+                capsys, "enumerate", table_csv, "--sizes", "1,1,4", "--dump", dump
+            )
+            assert code == 2
+            assert f"{reason}: '{dump}'" in err
 
     @pytest.mark.parametrize(
         "flags",

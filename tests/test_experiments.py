@@ -30,7 +30,7 @@ from triarm import (
 )
 from triarm.assignment import assignment_count, enumerate_assignments, worker_generator
 from triarm.cli import main
-from triarm.estimators import BatchEvaluator
+from triarm.estimators import BatchEvaluator, nominal_covariance
 from triarm.experiments import _batch_sizes, _Moments, _process_in_order
 from triarm.scenarios import (
     conditional_constancy_population,
@@ -38,7 +38,6 @@ from triarm.scenarios import (
     random_additive_population,
     random_conditional_constancy_population,
 )
-from triarm.theory import q_tilde
 
 from conftest import contrast_var
 
@@ -183,7 +182,7 @@ class TestExactEngine:
         assert rows and sum(rows) == summary.assignment_count == assignment_count(sizes, mode)
 
 
-def fancy_evaluate_index(evaluator, idx, want_nominal=True):
+def fancy_evaluate_index(evaluator, idx):
     """``BatchEvaluator.evaluate_index`` by fancy indexing with strided column blocks."""
     n_a, n_b, _ = evaluator.sizes.counts()
     blocks = (idx[:, :n_a], idx[:, n_a : n_a + n_b], idx[:, n_a + n_b :])
@@ -191,7 +190,7 @@ def fancy_evaluate_index(evaluator, idx, want_nominal=True):
     zy = [evaluator.products[k][block].sum(axis=1) for k, block in enumerate(blocks)]
     ysq = [evaluator.squares[k][block].sum(axis=1) for k, block in enumerate(blocks)]
     g = [evaluator.z[block].sum(axis=1) for block in blocks]
-    return evaluator._from_group_sums(t, g, zy, ysq, want_nominal)
+    return evaluator._from_group_sums(t, g, zy, ysq)
 
 
 def whole_batch_monte_carlo(monkeypatch, pop, sizes, reps, seed, **kwargs):
@@ -202,7 +201,7 @@ def whole_batch_monte_carlo(monkeypatch, pop, sizes, reps, seed, **kwargs):
     redrawn the same way and written back in place.  The engine's batch
     plan, merge, summary and dump code are kept.
     """
-    evaluator = BatchEvaluator(pop, sizes, q_tilde=q_tilde(pop, sizes))
+    evaluator = BatchEvaluator(pop, sizes)
 
     def compute(job):
         index, size = job
@@ -219,6 +218,7 @@ def whole_batch_monte_carlo(monkeypatch, pop, sizes, reps, seed, **kwargs):
                 for key, arr in patch.items():
                     res[key][bad] = arr
             bad = bad[~patch["valid"]]
+        res["nominal_cov"] = nominal_covariance(res, evaluator.counts)
         res["redraws"] = drawn - size
         return res
 
@@ -284,9 +284,9 @@ class TestChunkedMonteCarlo:
         rng = np.random.default_rng(n)
         pop, _ = normalize_z(Population(*rng.uniform(-3, 3, size=(4, n))))
         sizes = GroupSizes(*sizes)
-        evaluator = BatchEvaluator(pop, sizes, q_tilde=q_tilde(pop, sizes))
+        evaluator = BatchEvaluator(pop, sizes)
         idx = rng.permuted(np.tile(np.arange(n), (50, 1)), axis=1)
-        taken = evaluator.evaluate_index(idx, want_nominal=True)
+        taken = evaluator.evaluate_index(idx)
         fancy = fancy_evaluate_index(evaluator, idx)
         assert taken.keys() == fancy.keys()
         for key in taken:
@@ -476,6 +476,13 @@ class TestSymmetryHelper:
         pop = Population([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
         with pytest.raises(SingularDesignError, match="all assignments are singular"):
             contrast_symmetry_deviation(pop, GroupSizes(1, 1, 1))
+
+    @pytest.mark.parametrize(
+        "pair, message", [(("A", "A"), "groups must be distinct"), (("A", "D"), "unknown group 'D'")]
+    )
+    def test_bad_pair_raises(self, table_pop, pair, message):
+        with pytest.raises(ValueError, match=message):
+            contrast_symmetry_deviation(table_pop, GroupSizes(2, 2, 2), pair)
 
 
 @pytest.mark.filterwarnings("ignore:q_tilde")
