@@ -18,9 +18,7 @@ from .assignment import (
     assignment_count,
     enumerate_assignments,
     group_mean,
-    master_generator,
     observed_response,
-    random_assignment,
     worker_generator,
 )
 from .estimators import (
@@ -28,7 +26,6 @@ from .estimators import (
     EffectEstimate,
     MREstimate,
     SingularDesignError,
-    effect_difference,
     itt_estimates,
     mr_estimates,
     mr_via_normal_equations,
@@ -44,7 +41,6 @@ from .population import (
     MomentSet,
     Population,
     PopulationFormatError,
-    additive_effects,
     center_responses,
     is_normalized_z,
     load_population,

@@ -1,10 +1,9 @@
 """Assignment of subjects to the three treatment groups.
 
 An assignment is a label sequence over ``{A, B, C}`` with fixed group
-counts; it is the only random object in the model.  This module draws
-assignments uniformly, enumerates them exhaustively in lexicographic
-order, and turns an assignment plus a population into the observed
-response vector.
+counts; it is the only random object in the model.  This module enumerates
+assignments exhaustively in lexicographic order and turns an assignment
+plus a population into the observed response vector.
 
 Enumeration unranks: each batch is a contiguous range of ranks, turned
 into label codes by vectorized multiset-permutation unranking in int64
@@ -17,11 +16,10 @@ two tables of at most 3**8 rows each.  The order is the plain
 lexicographic one, no batch depends on the one before, and enumeration
 is refused once the number of label sequences times n reaches 2**63.
 
-Randomness contract: generators are built on numpy's Philox bit
-generator (counter-based, splittable).  ``master_generator(seed)`` and
-``worker_generator(seed, stream)`` produce the same streams on every
-platform for a given numpy version, and worker streams derived from the
-same seed never overlap.
+Randomness contract: ``worker_generator(seed, stream)`` is built on
+numpy's Philox bit generator (counter-based, splittable).  It produces
+the same stream on every platform for a given numpy version, and streams
+derived from the same seed never overlap.
 """
 
 import math
@@ -123,17 +121,9 @@ class Assignment:
         """Indicator vectors (U, V, W) for membership in A, B, C."""
         return tuple(self.codes == k for k in range(3))
 
-    def group_indices(self, group: str) -> np.ndarray:
-        return np.flatnonzero(self.codes == _check_group(group))
-
     @classmethod
     def from_labels(cls, labels) -> "Assignment":
         return cls(np.array([_check_group(str(lab)) for lab in labels], dtype=np.int8))
-
-
-def master_generator(seed: int) -> np.random.Generator:
-    """The documented seeded generator: Philox keyed by ``seed``."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
 def worker_generator(seed, stream: int) -> np.random.Generator:
@@ -147,17 +137,6 @@ def worker_generator(seed, stream: int) -> np.random.Generator:
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(base.entropy, spawn_key=tuple(base.spawn_key) + (stream,)))
     )
-
-
-def random_assignment(sizes: GroupSizes, rng: np.random.Generator) -> Assignment:
-    """Draw uniformly from all labelings with the given group counts."""
-    n = sizes.n
-    codes = np.empty(n, dtype=np.int8)
-    perm = rng.permutation(n)
-    codes[perm[: sizes.n_a]] = 0
-    codes[perm[sizes.n_a : sizes.n_a + sizes.n_b]] = 1
-    codes[perm[sizes.n_a + sizes.n_b :]] = 2
-    return Assignment(codes)
 
 
 def assignment_count(sizes: GroupSizes, mode: str = "all") -> int:
@@ -326,10 +305,14 @@ def iter_code_batches(
     and B pairs each kept assignment with a dropped one);
     :func:`_a_before_b_starts` shifts its ranks.
 
-    Raises :class:`EnumerationLimitError` before the first batch when the
-    count exceeds ``limit``, or when all label sequences (twice the count
-    in ``a-before-b``) times n reach 2**63: the rank arithmetic is int64.
+    Raises :class:`ValueError` for a ``batch_size`` below 1, and
+    :class:`EnumerationLimitError` when the count exceeds ``limit`` or
+    when all label sequences (twice the count in ``a-before-b``) times n
+    reach 2**63: the rank arithmetic is int64.  Both come before the
+    first batch.
     """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     count = assignment_count(sizes, mode)
     total = assignment_count(sizes)
     if count > limit:

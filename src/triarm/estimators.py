@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import Assignment, GroupSizes, _check_group
+from .assignment import Assignment, GroupSizes
 from .population import moment_set
 
 #: An assignment is singular when the mean square of the within-group
@@ -63,9 +63,6 @@ class EffectEstimate:
 
     def as_vector(self) -> np.ndarray:
         return np.array([self.effect_a, self.effect_b, self.effect_c])
-
-    def effect(self, group: str) -> float:
-        return float(self.as_vector()[_check_group(group)])
 
 
 @dataclass(frozen=True)
@@ -103,13 +100,6 @@ def itt_estimates(Y, asg: Assignment) -> EffectEstimate:
         raise ValueError(f"length mismatch: expected {asg.n} responses, got {Y.shape}")
     sums = np.bincount(asg.codes, weights=Y, minlength=3)
     return EffectEstimate(*(sums / asg.sizes.counts()))
-
-
-def effect_difference(est, s: str, t: str) -> float:
-    """effect(t) - effect(s); the estimate of the t-versus-s contrast."""
-    if s == t:
-        raise ValueError(f"groups must differ, got {s!r} twice")
-    return est.effect(t) - est.effect(s)
 
 
 def _xtx_inverse(counts: np.ndarray, zbar: np.ndarray, f_sq: np.ndarray) -> np.ndarray:

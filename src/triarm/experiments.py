@@ -388,6 +388,8 @@ def monte_carlo(
     """
     if reps < 2:
         raise ValueError("reps must be at least 2")
+    if batch_size is not None and batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     sizes.validate_for(pop.n)
     qt = q_tilde(pop, sizes)
     evaluator = BatchEvaluator(pop, sizes)

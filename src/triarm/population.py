@@ -53,6 +53,12 @@ class PopulationFormatError(ValueError):
         self.column = column
 
 
+def _variable_index(name: str) -> int:
+    if name not in VARIABLES:
+        raise ValueError(f"unknown variable {name!r}; expected one of {VARIABLES}")
+    return VARIABLES.index(name)
+
+
 def _as_readonly_vector(values, name):
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
@@ -93,9 +99,7 @@ class Population:
         return self.a.size
 
     def variable(self, name: str) -> np.ndarray:
-        if name not in VARIABLES:
-            raise ValueError(f"unknown variable {name!r}; expected one of {VARIABLES}")
-        return getattr(self, name)
+        return getattr(self, VARIABLES[_variable_index(name)])
 
     @functools.cached_property
     def _moments(self) -> "MomentSet":
@@ -126,14 +130,14 @@ class MomentSet:
     fourth_abs_moments: np.ndarray
 
     def mean(self, x: str) -> float:
-        return float(self.means[VARIABLES.index(x)])
+        return float(self.means[_variable_index(x)])
 
     def var(self, x: str) -> float:
-        i = VARIABLES.index(x)
+        i = _variable_index(x)
         return float(self.covariance[i, i])
 
     def cov(self, x: str, y: str) -> float:
-        return float(self.covariance[VARIABLES.index(x), VARIABLES.index(y)])
+        return float(self.covariance[_variable_index(x), _variable_index(y)])
 
 
 #: Shortest array :func:`_exact_sum` extracts; below it ``math.fsum`` is faster.
@@ -327,13 +331,6 @@ def replicate(pop: Population, m: int) -> Population:
     if m == 1:
         return pop
     return Population(*(np.tile(pop.variable(v), m) for v in VARIABLES))
-
-
-def additive_effects(pop: Population, tol: float = 1e-12) -> bool:
-    """True when b - a and c - a are constant across subjects."""
-    d1 = pop.b - pop.a
-    d2 = pop.c - pop.a
-    return float(np.ptp(d1)) <= tol and float(np.ptp(d2)) <= tol
 
 
 def load_population(path) -> Population:

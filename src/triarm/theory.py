@@ -214,7 +214,6 @@ class AdjustmentGain:
 
     gamma: float
     pair: tuple[str, str]
-    q: float
     p_s: float
     p_t: float
 
@@ -246,7 +245,7 @@ def adjustment_gain(spec: AsymptoticSpec, pair: tuple[str, str] = ("A", "C")) ->
     p = spec.fractions
     prod = spec.covariance[:3, 3]
     gamma = 2.0 * q * (p[ti] * prod[si] + p[si] * prod[ti]) - q * q * (p[si] + p[ti])
-    return AdjustmentGain(gamma=float(gamma), pair=tuple(pair), q=q, p_s=float(p[si]), p_t=float(p[ti]))
+    return AdjustmentGain(gamma=float(gamma), pair=tuple(pair), p_s=float(p[si]), p_t=float(p[ti]))
 
 
 def plugin_spec(pop: Population, sizes: GroupSizes) -> AsymptoticSpec:

@@ -1,5 +1,8 @@
+import collections
+import csv
 import itertools
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -13,11 +16,11 @@ from triarm import (
     assignment_count,
     enumerate_assignments,
     group_mean,
-    master_generator,
+    monte_carlo,
     moment_set,
+    normalize_z,
     observed_response,
     prop1_moments,
-    random_assignment,
     worker_generator,
 )
 from triarm.assignment import _a_before_b_starts, _unrank, _unrank_tables, iter_code_batches
@@ -104,7 +107,6 @@ class TestAssignment:
         asg = Assignment.from_labels("ABCCBA")
         assert asg.label_string == "ABCCBA"
         assert asg.sizes == GroupSizes(2, 2, 2)
-        np.testing.assert_array_equal(asg.group_indices("B"), [1, 4])
 
     def test_dummies_partition(self):
         asg = Assignment.from_labels("ACBCCB")
@@ -117,33 +119,38 @@ class TestAssignment:
 
 
 class TestRandomAssignment:
-    def test_deterministic_given_seed(self):
-        sizes = GroupSizes(2, 2, 2)
-        a = random_assignment(sizes, master_generator(42))
-        b = random_assignment(sizes, master_generator(42))
-        assert a.label_string == b.label_string
+    """Random assignments as the Monte Carlo engine draws them."""
 
     def test_worker_streams_differ(self):
         firsts = [worker_generator(42, stream).bit_generator.random_raw() for stream in range(8)]
         assert len(set(firsts)) == 8
-        sizes = GroupSizes(2, 2, 2)
-        a = random_assignment(sizes, worker_generator(42, 0))
-        b = random_assignment(sizes, worker_generator(42, 1))
-        assert a.label_string != b.label_string
 
-    def test_counts_respected(self):
-        asg = random_assignment(GroupSizes(3, 4, 5), master_generator(0))
-        assert asg.sizes == GroupSizes(3, 4, 5)
-
-    def test_marginal_frequencies_uniform(self):
-        # P(subject i in A) = n_A / n = 1/3 for every subject
+    def test_engine_draws_uniform(self, tmp_path):
+        # a = 2**i, b = 64 a and c = 4096 a, so 2 itt_a and 2 itt_b / 64 are
+        # exactly the bit masks of the A and B members; no labeling is singular
+        a = 2.0 ** np.arange(6)
+        pop, _ = normalize_z(Population(a, 64 * a, 4096 * a, [-2, -1, 0, 0, 1, 2]))
         sizes = GroupSizes(2, 2, 2)
-        rng = master_generator(7)
-        hits = np.zeros(6)
-        draws = 90_000
-        for _ in range(draws):
-            hits += random_assignment(sizes, rng).codes == 0
-        np.testing.assert_allclose(hits / draws, 1 / 3, atol=0.01)
+        reps = 9000
+        path = tmp_path / "draws.csv"
+        monte_carlo(pop, sizes, reps, 11, dump_path=path)
+        with open(path, newline="") as fh:
+            seen = collections.Counter(
+                (2 * float(row["itt_a"]), 2 * float(row["itt_b"]) / 64) for row in csv.DictReader(fh)
+            )
+        bits = 2 ** np.arange(6)
+        labelings = [
+            (float(bits @ asg.dummies[0]), float(bits @ asg.dummies[1]))
+            for asg in enumerate_assignments(sizes)
+        ]
+        assert len(labelings) == 90 and set(seen) <= set(labelings)
+        expected = reps / len(labelings)
+        chi_sq = sum((seen[key] - expected) ** 2 / expected for key in labelings)
+        # the 1 - 1e-6 quantile of chi-square with 89 df, by Wilson-Hilferty
+        df = len(labelings) - 1
+        h = 2 / (9 * df)
+        gate = df * (1 - h + statistics.NormalDist().inv_cdf(1 - 1e-6) * math.sqrt(h)) ** 3
+        assert chi_sq < gate
 
 
 class TestEnumeration:
@@ -159,6 +166,11 @@ class TestEnumeration:
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown enumeration mode"):
             assignment_count(GroupSizes(1, 1, 4), "some")
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        with pytest.raises(ValueError, match=f"batch_size must be at least 1, got {batch_size}"):
+            next(iter_code_batches(GroupSizes(2, 2, 2), batch_size=batch_size))
 
     def test_limit_guard_reports_count(self):
         with pytest.raises(EnumerationLimitError) as err:

@@ -273,8 +273,9 @@ class TestAnalyze:
         assert out == ""
         assert f"--replicate must be at least 1, got {factor}" in err
 
-    # only inputs refused before anything is allocated: a factor that fits
-    # in int64 with matching sizes would try to tile the population
+    # only inputs refused before anything is allocated: a mismatched size
+    # check, or a tiling numpy refuses outright (n past int64, or bytes
+    # past its largest array); a factor such as 10**9 would really allocate
     HUGE = str(10**20)
 
     @pytest.mark.parametrize("command", ["analyze", "enumerate", "simulate"])
@@ -290,14 +291,16 @@ class TestAnalyze:
     @pytest.mark.parametrize("command", ["analyze", "enumerate", "simulate"])
     def test_replicate_too_large_to_tile_exit_2(self, capsys, table_csv, command):
         extra = ("--reps", "100", "--seed", "1") if command == "simulate" else ()
-        sizes = ",".join([str(2 * 10**20)] * 3)
-        code, out, err = run_cli(
-            capsys, command, table_csv, "--sizes", sizes, "--replicate", self.HUGE, *extra
-        )
-        assert code == 2
-        assert out == ""
-        assert err.startswith(f"error: --replicate {self.HUGE} is too large")
-        assert "Traceback" not in err
+        # 10**20 overflows int64; 6 * 10**18 subjects fit in it, their bytes do not
+        for factor in (10**20, 10**18):
+            sizes = ",".join([str(2 * factor)] * 3)
+            code, out, err = run_cli(
+                capsys, command, table_csv, "--sizes", sizes, "--replicate", str(factor), *extra
+            )
+            assert code == 2
+            assert out == ""
+            assert err.startswith(f"error: --replicate {factor} is too large")
+            assert "Traceback" not in err
 
 
 class TestDumpTarget:

@@ -411,6 +411,11 @@ class TestBatchPlan:
     def test_batches(self, reps, n, batch_size, sizes):
         assert list(_batch_sizes(reps, n, batch_size)) == list(enumerate(sizes))
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, table_pop, batch_size):
+        with pytest.raises(ValueError, match=f"batch_size must be at least 1, got {batch_size}"):
+            monte_carlo(table_pop, GroupSizes(2, 2, 2), 100, 1, batch_size=batch_size)
+
 
 class TestThreadCap:
     """``--threads`` above the usable CPUs starts no more workers than CPUs."""

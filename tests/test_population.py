@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from triarm import (
     Population,
     PopulationFormatError,
-    additive_effects,
     center_responses,
     load_population,
     moment_set,
@@ -344,6 +343,20 @@ class TestMoments:
         ms = moment_set(table_pop)
         assert ms.var("a") == pytest.approx(20 / 9, abs=1e-14)
         assert ms.cov("a", "z") == pytest.approx(4 / 3, abs=1e-14)
+
+    @pytest.mark.parametrize(
+        "lookup",
+        [
+            lambda pop: pop.variable("q"),
+            lambda pop: moment_set(pop).mean("q"),
+            lambda pop: moment_set(pop).var("q"),
+            lambda pop: moment_set(pop).cov("a", "q"),
+        ],
+        ids=["variable", "mean", "var", "cov"],
+    )
+    def test_unknown_variable_named(self, table_pop, lookup):
+        with pytest.raises(ValueError, match=r"unknown variable 'q'; expected one of \('a', 'b'"):
+            lookup(table_pop)
 
     def test_constant_population_all_zero(self):
         pop = Population(*(np.full(4, 5.0) for _ in range(4)))
@@ -684,13 +697,3 @@ class TestReplicate:
     def test_rejects_bad_factor(self, table_pop):
         with pytest.raises(ValueError):
             replicate(table_pop, 0)
-
-
-class TestAdditivity:
-    def test_table_is_additive(self, table_pop):
-        assert additive_effects(table_pop)
-
-    def test_perturbation_breaks_it(self, table_pop):
-        b = table_pop.b.copy()
-        b[2] += 0.5
-        assert not additive_effects(Population(table_pop.a, b, table_pop.c, table_pop.z))
