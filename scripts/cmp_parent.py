@@ -14,7 +14,9 @@ tree's.  The list covers:
 * ``simulate`` on a 4-subject population whose draws are often singular,
   so batches redraw, and ``enumerate`` on it (n <= 4: no residual degrees
   of freedom, so ``sigma_hat_sq`` is ``null``);
-* ``enumerate`` in both modes with ``--dump``;
+* ``enumerate`` in both modes with ``--dump``, ``analyze`` with
+  ``--replicate`` and ``simulate`` on the raw covariate
+  (``--normalize off``), all on a 12-subject population;
 * ``reproduce`` for every scenario.
 
 For each command it compares stdout, stderr, the exit code and the dump
@@ -87,6 +89,9 @@ def command_list(work: Path) -> list:
     for mode in ("all", "a-before-b"):
         argv = ["enumerate", str(small), "--sizes", "4,4,4", "--mode", mode, "--dump", str(dump)]
         commands.append((argv, dump))
+    commands.append((["analyze", str(small), "--sizes", "12,12,12", "--replicate", "3"], None))
+    argv = ["simulate", str(small), "--sizes", "4,4,4", "--normalize", "off", "--reps", "3000"]
+    commands.append((argv + ["--seed", "4"], None))
     for name in SCENARIOS:
         commands.append((["reproduce", "--scenario", name, "--format", "json"], None))
     return commands

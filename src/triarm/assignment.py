@@ -156,6 +156,9 @@ def assignment_count(sizes: GroupSizes, mode: str = "all") -> int:
 #: table then has at most 3**8 = 6,561 rows, whatever n is.
 _TABLE_POSITIONS = 8
 
+#: Rows per enumerated batch, read at call time.
+_BATCH_ROWS = 4096
+
 
 class _UnrankTables(NamedTuple):
     """A design's label sequences of its first and last few positions.
@@ -290,12 +293,11 @@ def iter_code_batches(
     sizes: GroupSizes,
     mode: str = "all",
     limit: int = DEFAULT_ENUMERATION_LIMIT,
-    batch_size: int = 4096,
 ) -> Iterator[np.ndarray]:
     """Yield enumerated assignments as (batch, n) int8 arrays.
 
     Lexicographic over label sequences with A < B < C; every batch but
-    the last holds ``batch_size`` rows and is unranked from its own rank
+    the last holds ``_BATCH_ROWS`` rows and is unranked from its own rank
     range.  The prefix and suffix tables (:func:`_unrank_tables`) are
     built once per call, on the first ``next()``, after both guards
     below; every batch reads its first and last positions from them and
@@ -305,14 +307,11 @@ def iter_code_batches(
     and B pairs each kept assignment with a dropped one);
     :func:`_a_before_b_starts` shifts its ranks.
 
-    Raises :class:`ValueError` for a ``batch_size`` below 1, and
-    :class:`EnumerationLimitError` when the count exceeds ``limit`` or
-    when all label sequences (twice the count in ``a-before-b``) times n
-    reach 2**63: the rank arithmetic is int64.  Both come before the
-    first batch.
+    Raises :class:`EnumerationLimitError` when the count exceeds
+    ``limit`` or when all label sequences (twice the count in
+    ``a-before-b``) times n reach 2**63: the rank arithmetic is int64.
+    Both come before the first batch.
     """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     count = assignment_count(sizes, mode)
     total = assignment_count(sizes)
     if count > limit:
@@ -322,8 +321,8 @@ def iter_code_batches(
         raise EnumerationLimitError(count, ceiling, "the int64 rank ceiling")
     tables = _unrank_tables(sizes)
     starts = _a_before_b_starts(sizes) if mode == "a-before-b" else None
-    for lo in range(0, count, batch_size):
-        rank = np.arange(lo, min(lo + batch_size, count), dtype=np.int64)
+    for lo in range(0, count, _BATCH_ROWS):
+        rank = np.arange(lo, min(lo + _BATCH_ROWS, count), dtype=np.int64)
         if starts is not None:
             rank += starts[np.searchsorted(starts, rank, side="right") - 1]
         yield _unrank(sizes, tables, rank)

@@ -205,7 +205,7 @@ def _prepare_population(args):
     sizes.validate_for(n)  # before tiling, so a mismatched factor allocates nothing
     try:
         pop = replicate(pop, args.replicate)
-    except (OverflowError, MemoryError, ValueError):  # ValueError: numpy's "array is too big"
+    except ValueError:
         raise ValueError(
             f"--replicate {args.replicate} is too large: {n} subjects do not fit in memory"
         ) from None

@@ -73,9 +73,9 @@ class MREstimate(EffectEstimate):
     covariate), which is also the covariate coefficient of the full
     four-column regression (``z_coefficient``).  The routes are checked
     against each other, and both against generic least squares, in the
-    tests.  ``residual_sq_e``, ``residual_sq_f`` and ``residual_ef`` are
-    |e|^2, |f|^2 and e.f.  ``sigma_hat_sq`` and ``nominal_cov`` are None
-    when n <= 4 (no residual degrees of freedom).
+    tests.  ``residual_sq_e`` and ``residual_sq_f`` are |e|^2 and |f|^2.
+    ``sigma_hat_sq`` and ``nominal_cov`` are None when n <= 4 (no
+    residual degrees of freedom).
     """
 
     q_hat: float
@@ -83,9 +83,6 @@ class MREstimate(EffectEstimate):
     nominal_cov: np.ndarray | None
     residual_sq_e: float
     residual_sq_f: float
-    residual_ef: float
-    n: int
-    sizes: GroupSizes
 
     @property
     def z_coefficient(self) -> float:
@@ -148,7 +145,6 @@ def _group_sum_regression(t, g, u, ysq, zsq, counts, n) -> dict:
         "valid": valid,
         "e_sq": e_sq,
         "f_sq": f_sq,
-        "ef": ef,
         "zbar": zbar,
     }
 
@@ -159,7 +155,7 @@ def nominal_covariance(fit: dict, counts: np.ndarray) -> np.ndarray:
     return fit["sigma_hat_sq"][:, None, None] * _xtx_inverse(counts, fit["zbar"], safe_f)
 
 
-def _assemble(asg: Assignment, effects, q_hat, sigma_sq, nominal, e_sq, f_sq, ef) -> MREstimate:
+def _assemble(asg: Assignment, effects, q_hat, sigma_sq, nominal, e_sq, f_sq) -> MREstimate:
     if asg.n > 4:
         sigma_sq = float(sigma_sq)
         nominal = np.array(nominal, dtype=np.float64)
@@ -175,9 +171,6 @@ def _assemble(asg: Assignment, effects, q_hat, sigma_sq, nominal, e_sq, f_sq, ef
         nominal_cov=nominal,
         residual_sq_e=float(e_sq),
         residual_sq_f=float(f_sq),
-        residual_ef=float(ef),
-        n=asg.n,
-        sizes=asg.sizes,
     )
 
 
@@ -205,7 +198,7 @@ def mr_estimates(z, Y, asg: Assignment) -> MREstimate:
     r = e - q_hat * f
     sigma_sq = float(r @ r) / (asg.n - 4) if asg.n > 4 else math.nan
     nominal = sigma_sq * _xtx_inverse(counts, zbar[None], np.array([f_sq]))[0]
-    return _assemble(asg, ybar - q_hat * zbar, q_hat, sigma_sq, nominal, float(e @ e), f_sq, ef)
+    return _assemble(asg, ybar - q_hat * zbar, q_hat, sigma_sq, nominal, float(e @ e), f_sq)
 
 
 def mr_via_normal_equations(z, Y, asg: Assignment) -> MREstimate:
@@ -224,7 +217,7 @@ def mr_via_normal_equations(z, Y, asg: Assignment) -> MREstimate:
     if not fit["valid"][0]:
         raise SingularDesignError()
     fit["nominal_cov"] = nominal_covariance(fit, counts)
-    keys = ("mr", "q_hat", "sigma_hat_sq", "nominal_cov", "e_sq", "f_sq", "ef")
+    keys = ("mr", "q_hat", "sigma_hat_sq", "nominal_cov", "e_sq", "f_sq")
     return _assemble(asg, *(fit[key][0] for key in keys))
 
 

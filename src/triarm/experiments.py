@@ -358,14 +358,13 @@ class MCSummary:
     max_abs_dev_az_a: float
 
 
-def _batch_sizes(reps: int, n: int, batch_size: int | None):
+def _batch_plan(reps: int, n: int):
     """Yield the batch plan as ``(index, size)`` jobs, lazily: any ``reps`` starts at once."""
-    if batch_size is None:
-        # fixed formula of (reps, n) only, never of the thread count: it
-        # fixes the per-batch streams and merge boundaries, not memory
-        batch_size = max(128, min(4096, 2_000_000 // max(n, 1)))
-    for start in range(0, reps, batch_size):
-        yield start // batch_size, min(batch_size, reps - start)
+    # fixed formula of (reps, n) only, never of the thread count: it
+    # fixes the per-batch streams and merge boundaries, not memory
+    rows = max(128, min(4096, 2_000_000 // max(n, 1)))
+    for start in range(0, reps, rows):
+        yield start // rows, min(rows, reps - start)
 
 
 def monte_carlo(
@@ -374,7 +373,6 @@ def monte_carlo(
     reps: int,
     seed,
     threads: int = 1,
-    batch_size: int | None = None,
     dump_path=None,
 ) -> MCSummary:
     """Summarize both estimators over ``reps`` independent assignments.
@@ -388,8 +386,8 @@ def monte_carlo(
     """
     if reps < 2:
         raise ValueError("reps must be at least 2")
-    if batch_size is not None and batch_size < 1:
-        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     sizes.validate_for(pop.n)
     qt = q_tilde(pop, sizes)
     evaluator = BatchEvaluator(pop, sizes)
@@ -442,7 +440,7 @@ def monte_carlo(
         return res
 
     redraws, max_dev, written = 0, 0.0, 0
-    results = _process_in_order(_batch_sizes(reps, n, batch_size), compute, threads)
+    results = _process_in_order(_batch_plan(reps, n), compute, threads)
     with _open_dump(dump_path, "replicate") as dump, closing(results):
         for res in results:
             redraws += res["redraws"]

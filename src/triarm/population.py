@@ -255,14 +255,14 @@ def moment_set(pop: Population) -> MomentSet:
     return pop._moments
 
 
-def centered_product_covariances(pop: Population, means) -> np.ndarray:
+def centered_product_covariances(pop: Population) -> np.ndarray:
     """cov(xz, z) for each response x centered at its mean.
 
-    ``means`` are the population's means ordered like :data:`VARIABLES`
-    (``moment_set(pop).means``).  The result equals the product
-    covariances of the :func:`center_responses` population bit for bit,
-    without building that population or its other moments.
+    The result equals the product covariances of the
+    :func:`center_responses` population bit for bit, without building
+    that population or its other moments.
     """
+    means = moment_set(pop).means
     responses = [x - m for x, m in zip((pop.a, pop.b, pop.c), means[:3])]
     return _product_moments(responses, pop.z, means[3], ("centered a", "centered b", "centered c"))[1]
 
@@ -323,14 +323,22 @@ def replicate(pop: Population, m: int) -> Population:
     """Duplicate every subject ``m`` times.
 
     Replication grows ``n`` while holding all divisor-``n`` moments
-    fixed, which is how asymptotic claims are probed here.
+    fixed, which is how asymptotic claims are probed here.  A factor
+    whose columns numpy cannot build (too many elements for memory or
+    for int64) raises :class:`ValueError` naming the factor.
     """
     if int(m) != m or m < 1:
         raise ValueError("replication factor must be a positive integer")
     m = int(m)
     if m == 1:
         return pop
-    return Population(*(np.tile(pop.variable(v), m) for v in VARIABLES))
+    try:
+        columns = [np.tile(pop.variable(v), m) for v in VARIABLES]
+    except (ValueError, OverflowError, MemoryError):  # ValueError: numpy's "array is too big"
+        raise ValueError(
+            f"replication factor {m} is too large: {pop.n * m} subjects do not fit in memory"
+        ) from None
+    return Population(*columns)
 
 
 def load_population(path) -> Population:

@@ -113,7 +113,7 @@ def bias_k(pop: Population, sizes: GroupSizes) -> np.ndarray:
     """
     sizes.validate_for(pop.n)
     _warn_if_unnormalized(pop, "bias_k")
-    prod_cov = centered_product_covariances(pop, moment_set(pop).means)
+    prod_cov = centered_product_covariances(pop)
     weighted = float(np.dot(sizes.fractions(), prod_cov))
     out = prod_cov - weighted
     out.setflags(write=False)
@@ -213,7 +213,6 @@ class AdjustmentGain:
     """
 
     gamma: float
-    pair: tuple[str, str]
     p_s: float
     p_t: float
 
@@ -245,7 +244,7 @@ def adjustment_gain(spec: AsymptoticSpec, pair: tuple[str, str] = ("A", "C")) ->
     p = spec.fractions
     prod = spec.covariance[:3, 3]
     gamma = 2.0 * q * (p[ti] * prod[si] + p[si] * prod[ti]) - q * q * (p[si] + p[ti])
-    return AdjustmentGain(gamma=float(gamma), pair=tuple(pair), p_s=float(p[si]), p_t=float(p[ti]))
+    return AdjustmentGain(gamma=float(gamma), p_s=float(p[si]), p_t=float(p[ti]))
 
 
 def plugin_spec(pop: Population, sizes: GroupSizes) -> AsymptoticSpec:

@@ -167,11 +167,6 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="unknown enumeration mode"):
             assignment_count(GroupSizes(1, 1, 4), "some")
 
-    @pytest.mark.parametrize("batch_size", [0, -1])
-    def test_batch_size_below_one_rejected(self, batch_size):
-        with pytest.raises(ValueError, match=f"batch_size must be at least 1, got {batch_size}"):
-            next(iter_code_batches(GroupSizes(2, 2, 2), batch_size=batch_size))
-
     def test_limit_guard_reports_count(self):
         with pytest.raises(EnumerationLimitError) as err:
             list(enumerate_assignments(GroupSizes(10, 10, 10), limit=10**6))
@@ -187,12 +182,13 @@ class TestEnumeration:
     # one-row batches cost a table lookup and a comparison per row (1.6 s
     # up to n = 9, against 0.2 s up to n = 7)
     @pytest.mark.parametrize("batch_size, max_n", [(1, 7), (7, 9), (4096, 9)])
-    def test_unranking_matches_reference_loop(self, batch_size, max_n):
+    def test_unranking_matches_reference_loop(self, monkeypatch, batch_size, max_n):
         # every size triple up to max_n, in both modes: same batch
         # boundaries, shapes, dtype and codes as stepping permutations
+        monkeypatch.setattr(triarm.assignment, "_BATCH_ROWS", batch_size)
         for sizes, mode in _small_cases(max_n):
             expected = list(reference_code_batches(sizes, mode, batch_size))
-            got = list(iter_code_batches(sizes, mode, batch_size=batch_size))
+            got = list(iter_code_batches(sizes, mode))
             assert [b.shape for b in got] == [b.shape for b in expected], (sizes, mode)
             for g, e in zip(got, expected):
                 assert g.dtype == np.int8

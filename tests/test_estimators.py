@@ -365,7 +365,6 @@ def rowwise_group_sum_regression(t, g, u, ysq, zsq, counts, n):
         "valid": valid,
         "e_sq": e_sq,
         "f_sq": f_sq,
-        "ef": ef,
         "zbar": zbar,
     }
 

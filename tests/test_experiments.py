@@ -31,7 +31,7 @@ from triarm import (
 from triarm.assignment import assignment_count, enumerate_assignments, worker_generator
 from triarm.cli import main
 from triarm.estimators import BatchEvaluator, nominal_covariance
-from triarm.experiments import _batch_sizes, _Moments, _process_in_order
+from triarm.experiments import _batch_plan, _Moments, _process_in_order
 from triarm.scenarios import (
     conditional_constancy_population,
     curved_response_population,
@@ -70,6 +70,16 @@ def reference_dump(path, first_column, batches):
                     + [repr(float(v)) for v in res["mr"][i]]
                     + [repr(float(res["q_hat"][i])), repr(float(res["sigma_hat_sq"][i]))]
                 )
+
+
+def fixed_batches(monkeypatch, rows):
+    """Make ``monte_carlo`` plan ``rows``-row batches instead of its formula's."""
+
+    def plan(reps, n):
+        for start in range(0, reps, rows):
+            yield start // rows, min(rows, reps - start)
+
+    monkeypatch.setattr(triarm.experiments, "_batch_plan", plan)
 
 
 @pytest.fixture()
@@ -330,11 +340,12 @@ class TestDumpBytes:
         assert len(nan_rows) == summary.singular_count
 
     @pytest.mark.filterwarnings("ignore:q_tilde")
-    def test_monte_carlo_dump_matches_reference(self, table_pop, tmp_path, dumped_batches):
+    def test_monte_carlo_dump_matches_reference(
+        self, table_pop, tmp_path, dumped_batches, monkeypatch
+    ):
         path = tmp_path / "mc.csv"
-        monte_carlo(
-            table_pop, GroupSizes(2, 2, 2), reps=1000, seed=3, batch_size=300, dump_path=path
-        )
+        fixed_batches(monkeypatch, 300)
+        monte_carlo(table_pop, GroupSizes(2, 2, 2), reps=1000, seed=3, dump_path=path)
         reference_dump(tmp_path / "reference.csv", "replicate", dumped_batches)
         assert len(dumped_batches) == 4
         assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
@@ -398,23 +409,18 @@ class TestProcessInOrder:
 class TestBatchPlan:
     def test_plan_is_lazy(self):
         # 10**16 reps: a planned list of batches would not fit in memory
-        assert list(itertools.islice(_batch_sizes(10**16, 6, None), 2)) == [(0, 4096), (1, 4096)]
+        assert list(itertools.islice(_batch_plan(10**16, 6), 2)) == [(0, 4096), (1, 4096)]
 
     @pytest.mark.parametrize(
-        "reps, n, batch_size, sizes",
+        "reps, n, sizes",
         [
-            (1000, 6, 300, [300, 300, 300, 100]),
-            (900, 6, 300, [300, 300, 300]),
-            (10_000, 800, None, [2500] * 4),
+            (300, 20_000, [128, 128, 44]),  # the 128-row floor
+            (9000, 6, [4096, 4096, 808]),  # the 4096-row cap, partial last batch
+            (10_000, 800, [2500] * 4),  # in between: 2_000_000 // n
         ],
     )
-    def test_batches(self, reps, n, batch_size, sizes):
-        assert list(_batch_sizes(reps, n, batch_size)) == list(enumerate(sizes))
-
-    @pytest.mark.parametrize("batch_size", [0, -1])
-    def test_batch_size_below_one_rejected(self, table_pop, batch_size):
-        with pytest.raises(ValueError, match=f"batch_size must be at least 1, got {batch_size}"):
-            monte_carlo(table_pop, GroupSizes(2, 2, 2), 100, 1, batch_size=batch_size)
+    def test_batches(self, reps, n, sizes):
+        assert list(_batch_plan(reps, n)) == list(enumerate(sizes))
 
 
 class TestThreadCap:
@@ -435,7 +441,8 @@ class TestThreadCap:
     @pytest.mark.filterwarnings("ignore:q_tilde")
     def test_pool_capped_at_usable_cpus(self, table_pop, monkeypatch):
         sizes = self.record_pools(monkeypatch)
-        run = functools.partial(monte_carlo, table_pop, GroupSizes(2, 2, 2), 2000, 4, batch_size=128)
+        fixed_batches(monkeypatch, 128)
+        run = functools.partial(monte_carlo, table_pop, GroupSizes(2, 2, 2), 2000, 4)
         capped = run(threads=10**6)
         usable = triarm.experiments._usable_cpus()
         assert sizes == ([usable] if usable > 1 else [])
@@ -511,6 +518,12 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="at least 2"):
             monte_carlo(table_pop, GroupSizes(2, 2, 2), reps=1, seed=0)
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_validated(self, table_pop, monkeypatch, threads):
+        monkeypatch.setattr(triarm.experiments, "worker_generator", None)  # nothing may be drawn
+        with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+            monte_carlo(table_pop, GroupSizes(2, 2, 2), reps=50, seed=1, threads=threads)
+
     def test_itt_bias_within_four_se(self, table_pop):
         mc = monte_carlo(table_pop, GroupSizes(2, 2, 2), reps=50_000, seed=9)
         assert np.all(np.abs(mc.itt_bias) <= 4.0 * mc.itt_se)
@@ -571,8 +584,9 @@ class TestMonteCarlo:
         monkeypatch.setattr(BatchEvaluator, "evaluate_index", slow_after_batch_0)
         monkeypatch.setattr(triarm.experiments, "SingularDesignError", RecordedError)
         pop = Population([1.0, 2.0, 0.0], [2.0, 3.0, 1.0], [3.0, 1.0, 2.0], [0.5, -1.0, 2.0])
+        fixed_batches(monkeypatch, 8)
         with pytest.raises(SingularDesignError, match="in batch 0 were singular"):
-            monte_carlo(pop, GroupSizes(1, 1, 1), reps=160, seed=1, threads=threads, batch_size=8)
+            monte_carlo(pop, GroupSizes(1, 1, 1), reps=160, seed=1, threads=threads)
         assert events.count(("evaluate", 0)) == 1 + triarm.experiments.MAX_REDRAW_ROUNDS
         after = events[events.index(("failed", 0)) :]
         assert sum(kind == "evaluate" for kind, _ in after) <= threads - 1

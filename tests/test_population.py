@@ -606,7 +606,7 @@ class TestMomentsAboveCutoff:
         for x, m in zip((pop.a, pop.b, pop.c), means[:3]):
             xz = (x - m) * pop.z
             want.append(reference_mean((xz - reference_mean(xz)) * (pop.z - means[3])))
-        assert _bits(population.centered_product_covariances(pop, means)) == _bits(want)
+        assert _bits(population.centered_product_covariances(pop)) == _bits(want)
 
     @_WIDE_CASES
     def test_normalize_z(self, seed, shifted):
@@ -697,3 +697,10 @@ class TestReplicate:
     def test_rejects_bad_factor(self, table_pop):
         with pytest.raises(ValueError):
             replicate(table_pop, 0)
+
+    # 10**20 overflows int64; 6 * 10**18 subjects fit in it, their bytes do not
+    @pytest.mark.parametrize("factor", [10**18, 10**20])
+    def test_factor_too_large_to_tile_named(self, table_pop, factor):
+        message = f"replication factor {factor} is too large: {6 * factor} subjects"
+        with pytest.raises(ValueError, match=message):
+            replicate(table_pop, factor)
