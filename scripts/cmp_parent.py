@@ -17,6 +17,8 @@ tree's.  The list covers:
 * ``enumerate`` in both modes with ``--dump``, ``analyze`` with
   ``--replicate`` and ``simulate`` on the raw covariate
   (``--normalize off``), all on a 12-subject population;
+* ``analyze`` on a 5,000-subject population whose ``a`` spans 1e-30 to
+  1e30 in magnitude, so the exact sums of its powers take many levels;
 * ``reproduce`` for every scenario.
 
 For each command it compares stdout, stderr, the exit code and the dump
@@ -33,6 +35,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 sys.dont_write_bytecode = True
 
@@ -66,6 +70,14 @@ def _write_csv(path: Path, columns: dict) -> Path:
     return path
 
 
+def wide_columns(seed: int, n: int) -> dict:
+    """Normal columns, except ``a``: magnitudes 10**U(-30, 30), mixed signs."""
+    rng = np.random.default_rng(seed)
+    columns = {name: rng.normal(1.0, 2.0, n) for name in "abcz"}
+    columns["a"] = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-30, 30, n)
+    return {name: values.tolist() for name, values in columns.items()}
+
+
 def command_list(work: Path) -> list:
     """The fixed commands as ``(argv, dump_path or None)``, inputs written to ``work``."""
     dump = work / "dump.csv"
@@ -92,6 +104,8 @@ def command_list(work: Path) -> list:
     commands.append((["analyze", str(small), "--sizes", "12,12,12", "--replicate", "3"], None))
     argv = ["simulate", str(small), "--sizes", "4,4,4", "--normalize", "off", "--reps", "3000"]
     commands.append((argv + ["--seed", "4"], None))
+    wide = str(_write_csv(work / "wide5000.csv", wide_columns(SEED, 5000)))
+    commands.append((["analyze", wide, "--sizes", "1250,2500,1250", "--format", "json"], None))
     for name in SCENARIOS:
         commands.append((["reproduce", "--scenario", name, "--format", "json"], None))
     return commands

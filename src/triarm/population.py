@@ -18,9 +18,10 @@ least :data:`_EXACT_SUM_MIN_SIZE` finite values and from ``math.fsum``
 itself otherwise.  Two sums are taken elsewhere on purpose, because their
 exact bits fix the engines' output: ``az_mean``, the mean of ``a * z``,
 is a numpy mean in :func:`~triarm.experiments.monte_carlo`, and
-``z_sum_sq`` a BLAS dot product in :class:`~triarm.estimators.BatchEvaluator`.
-A sum that leaves the float range raises a :class:`ValueError` naming
-its variable; only the fourth absolute moments may be infinite.
+``z_sum_sq`` a BLAS dot product in :class:`~triarm.estimators.BatchEvaluator`;
+a third, that class's overflow guard, only decides whether an input is
+refused.  A sum that leaves the float range raises a :class:`ValueError`
+naming its variable; only the fourth absolute moments may be infinite.
 """
 
 import csv
@@ -145,9 +146,6 @@ _EXACT_SUM_MIN_SIZE = 1000
 #: Largest ``e`` of an extraction level's ``2**e``.  Every sum the kernel
 #: and ``math.fsum`` form then stays below ``2**1023``, so neither overflows.
 _EXACT_SUM_MAX_EXPONENT = 1020
-#: Levels before :func:`_exact_sum` gives up; each costs about as much as
-#: a twentieth of an fsum at n = 100,000 and a quarter at n = 1,000.
-_EXACT_SUM_MAX_LEVELS = 8
 
 
 def _exact_sum(values: np.ndarray) -> float:
@@ -161,13 +159,14 @@ def _exact_sum(values: np.ndarray) -> float:
     remainder ``r`` to a multiple of ``2**(e - 53)`` without error, and
     ``r - q`` is exact too.  ``n`` such multiples of magnitude at most
     ``2**(e - m)`` sum exactly, and the new remainders are at most
-    ``2**(e - 53)``.  Once the remainders are all zero, the level sums
-    add up to the exact total, and ``math.fsum`` of them rounds it once,
-    as ``math.fsum`` of the values does.  Anything else falls back to
-    ``math.fsum``: short arrays, an inf or NaN, values so large that a
-    sum could overflow (fsum's ``OverflowError``), all zeros (fsum's
-    signed zero), and values spread too widely to finish within the
-    level cap.
+    ``2**(e - 53)``, so each level lowers ``e`` by ``52 - m`` or more.
+    A level with ``2**e <= 2**-1022`` takes every remainder whole, as its
+    ulp is ``2**-1074``; from ``e <= 1020``, at most
+    ``ceil(2042 / (52 - m)) + 1`` levels run.  The level sums add up to
+    the exact total, and ``math.fsum`` of them rounds it once, as
+    ``math.fsum`` of the values does.  Otherwise ``math.fsum`` itself
+    runs: short arrays, an inf or NaN, values so large that a sum could
+    overflow (fsum's ``OverflowError``) and all zeros (fsum's signed zero).
     """
     n = values.size
     if n >= _EXACT_SUM_MIN_SIZE:
@@ -177,15 +176,14 @@ def _exact_sum(values: np.ndarray) -> float:
             parts = []
             r = np.array(values, dtype=np.float64)
             q = np.empty_like(r)
-            for _ in range(_EXACT_SUM_MAX_LEVELS):
+            while top:
                 sigma = math.ldexp(1.0, m + math.frexp(top)[1])
                 np.add(r, sigma, out=q)
                 q -= sigma
                 parts.append(float(q.sum()))
                 r -= q
                 top = max(float(r.max()), -float(r.min()))
-                if top == 0.0:
-                    return math.fsum(parts)
+            return math.fsum(parts)
     # a memoryview yields the same Python floats in the same order as
     # tolist(), strided arrays included, without building a list
     return math.fsum(memoryview(values))

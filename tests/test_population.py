@@ -508,6 +508,13 @@ def sum_arrays(draw):
     return values
 
 
+def double_range_terms(n):
+    """``n`` mixed-sign terms, magnitudes from the least subnormal to ``2**999``."""
+    rng = np.random.default_rng(0)
+    values = np.ldexp(rng.uniform(0.5, 1.0, n), rng.integers(-1074, 1000, n))
+    return values * rng.choice([-1.0, 1.0], n)
+
+
 class TestExactSum:
     """The extraction kernel against ``math.fsum``: the same bits, or the same outcome."""
 
@@ -529,19 +536,26 @@ class TestExactSum:
             lambda v: population._exact_mean(v, "the mean of x"), values
         ) == _sum_outcome(lambda v: reference_mean(v, "the mean of x"), values)
 
-    @pytest.mark.parametrize("n, full_length_fsums", [(999, 1), (5000, 0)])
-    def test_kernel_runs_from_the_cutoff(self, monkeypatch, n, full_length_fsums):
+    @pytest.mark.parametrize(
+        "values, full_length_fsums",
+        [
+            pytest.param(np.random.default_rng(0).normal(3.0, 2.0, 999), 1, id="999-1"),
+            pytest.param(np.random.default_rng(0).normal(3.0, 2.0, 5000), 0, id="5000-0"),
+            # magnitudes over the whole double range, mixed signs: 53 levels
+            pytest.param(double_range_terms(5000), 0, id="5000-double-range-0"),
+        ],
+    )
+    def test_kernel_runs_from_the_cutoff(self, monkeypatch, values, full_length_fsums):
         lengths = []
 
-        def fsum(values):
-            values = list(values)
-            lengths.append(len(values))
-            return math.fsum(values)
+        def fsum(terms):
+            terms = list(terms)
+            lengths.append(len(terms))
+            return math.fsum(terms)
 
         monkeypatch.setattr(population, "math", SimpleNamespace(**{**vars(math), "fsum": fsum}))
-        values = np.random.default_rng(0).normal(3.0, 2.0, n)
         assert population._exact_sum(values) == math.fsum(values.tolist())
-        assert lengths.count(n) == full_length_fsums
+        assert lengths.count(values.size) == full_length_fsums
         assert len(lengths) == 1
 
 
