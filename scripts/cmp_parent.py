@@ -24,7 +24,10 @@ tree's.  The list covers:
 For each command it compares stdout, stderr, the exit code and the dump
 file's bytes, prints every command that differs, and exits 1 if any does.
 Both trees read the same input files and write to the same dump path, so
-paths in the output agree.  Everything is written to the temporary
+paths in the output agree.  Both trees' commands also get the caller's
+environment, so a BLAS kernel forced for the whole script, as in
+``OPENBLAS_CORETYPE=Prescott python3 scripts/cmp_parent.py HEAD``,
+compares like with like.  Everything is written to the temporary
 directory, which is removed at the end; nothing is written inside the
 repository, bytecode caches included.  Takes about 15 s on a two-core
 host.

@@ -15,9 +15,9 @@ independent computation routes are provided and cross-checked in tests:
   it over many assignments for the engines, and
   :func:`mr_via_normal_equations` is its one-row call; both get the
   nominal covariance from :func:`nominal_covariance`.  Group sums travel
-  as one (m,) column per group and are added as ``0.0 + A + B + C``, left
-  to right, which is numpy's row-wise sum of three: its +0.0 start makes
-  three -0.0 terms sum to +0.0.
+  as (3, m) arrays, a row per group, added as ``0.0 + A + B + C``: numpy's
+  row-wise sum of three, whose +0.0 start makes three -0.0 sum to +0.0.
+  The (m, 3) results may be column-major views; never assume C order.
 
 Both return the same :class:`MREstimate` contract, including the
 conventional ("nominal") covariance matrix, which randomization does
@@ -113,25 +113,24 @@ def _xtx_inverse(counts: np.ndarray, zbar: np.ndarray, f_sq: np.ndarray) -> np.n
 def _group_sum_regression(t, g, u, ysq, zsq, counts, n) -> dict:
     """Both estimators for m assignments from their raw group sums.
 
-    ``t`` and ``g`` are each three per-group (m,) columns, the sums of Y
-    and z; ``u`` and ``ysq`` are (m,) sums of zY and Y^2, ``zsq`` is the
+    ``t`` and ``g`` are (3, m) per-group sums of Y and z (or three (m,)
+    columns); ``u`` and ``ysq`` are (m,) sums of zY and Y^2, ``zsq`` the
     sum of z^2 and ``counts`` the float group counts.  Rows whose design
     is singular come back with ``valid`` False and NaN estimates.
-    ``sigma_hat_sq`` is NaN when n <= 4.  ``zbar`` holds the z group means.
+    ``sigma_hat_sq`` is NaN when n <= 4.  ``itt``, ``mr`` and ``zbar``
+    (the z group means) are column-major (m, 3) arrays.
     """
-
-    def over_groups(x, y):
-        # numpy's row-wise sum of three: +0.0, then A, B, C, left to right
-        return 0.0 + x[0] * y[0] / counts[0] + x[1] * y[1] / counts[1] + x[2] * y[2] / counts[2]
-
-    ybar = np.column_stack(t) / counts
-    zbar = np.column_stack(g) / counts
-    f_sq = zsq - over_groups(g, g)
+    t, g = np.asarray(t), np.asarray(g)
+    # g*g, g*t, t*t over n_k; numpy's row-wise sum of three: +0.0, A, B, C
+    p = np.stack([g * g, g * t, t * t], axis=1)
+    p /= counts[:, None, None]
+    gg, gt, tt = 0.0 + p[0] + p[1] + p[2]
+    ybar = (t / counts[:, None]).T
+    zbar = (g / counts[:, None]).T
+    f_sq = zsq - gg
     valid = f_sq > SINGULARITY_TOL * n
-    safe_f = np.where(valid, f_sq, np.nan)
-    ef = u - over_groups(g, t)
-    q = ef / safe_f
-    e_sq = ysq - over_groups(t, t)
+    q = (u - gt) / np.where(valid, f_sq, np.nan)
+    e_sq = ysq - tt
     if n > 4:
         # a residual sum of squares: clamp the roundoff of the subtraction at 0
         sigma_sq = np.maximum(e_sq - q * q * f_sq, 0.0) / (n - 4)
@@ -229,10 +228,10 @@ class BatchEvaluator:
     index matrix whose leading columns are the A then B then C members
     (sampling).  Rows whose design is singular come back with ``valid``
     False and NaN estimates; callers decide whether to drop or redraw.
-    Both entry points return the same keys: the group-sum kernel's, plus
-    ``az_a``, group A's mean of ``a * z``.  Callers derive any further
-    statistic from them, the nominal covariance by
-    :func:`nominal_covariance`.
+    Both entry points fill one (3, m, 4) block of per-group sums of Y, zY,
+    Y^2 and z, and return the kernel's keys plus ``az_a``, group A's mean of
+    ``a * z``; the (m, 3) results may be column-major views, never assume C
+    order.  The nominal covariance comes from :func:`nominal_covariance`.
     """
 
     def __init__(self, pop, sizes: GroupSizes):
@@ -256,7 +255,7 @@ class BatchEvaluator:
                         f"n times the sum of squares of {name} is not finite: "
                         "the population's values are too large"
                     )
-        # each group's (n, 4) operand of the mask product in evaluate_codes
+        # each group's (n, 4) operand: Y, zY, Y^2 and z, summed by both entry points
         self.group_columns = tuple(
             np.column_stack([self.responses[k], self.products[k], self.squares[k], self.z])
             for k in range(3)
@@ -266,7 +265,7 @@ class BatchEvaluator:
         self.z_sum_sq = float(pop.z @ pop.z)
 
     def _from_group_sums(self, t, g, zy, ysq):
-        # three per-group (m,) columns each, added A, B, C
+        # (3, m) per-group sums, or three (m,) columns each; added A, B, C
         u = zy[0] + zy[1] + zy[2]
         y_sq = 0.0 + ysq[0] + ysq[1] + ysq[2]
         out = _group_sum_regression(t, g, u, y_sq, self.z_sum_sq, self.counts, self.n)
@@ -275,8 +274,10 @@ class BatchEvaluator:
 
     def evaluate_codes(self, codes: np.ndarray):
         codes = np.asarray(codes)
-        sums = [(codes == k).astype(np.float64) @ self.group_columns[k] for k in range(3)]
-        t, zy, ysq, g = zip(*(s.T for s in sums))
+        sums = np.empty((3, len(codes), 4))
+        for k in range(3):  # one mask alive at a time
+            np.matmul((codes == k).astype(np.float64), self.group_columns[k], out=sums[k])
+        t, zy, ysq, g = np.moveaxis(sums, 2, 0)
         return self._from_group_sums(t, g, zy, ysq)
 
     def evaluate_index(self, idx: np.ndarray):
@@ -290,10 +291,9 @@ class BatchEvaluator:
         """
         n_a, n_b, _ = self.sizes.counts()
         bounds = (0, n_a, n_a + n_b, self.n)
-        sums = []
+        sums = np.empty((3, len(idx), 4))
         for k in range(3):
             block = np.ascontiguousarray(idx[:, bounds[k] : bounds[k + 1]])
-            operands = (self.responses[k], self.products[k], self.squares[k], self.z)
-            sums.append([x.take(block).sum(axis=1) for x in operands])
-        t, zy, ysq, g = zip(*sums)
+            np.stack([x.take(block).sum(axis=1) for x in self.group_columns[k].T], axis=1, out=sums[k])
+        t, zy, ysq, g = np.moveaxis(sums, 2, 0)
         return self._from_group_sums(t, g, zy, ysq)

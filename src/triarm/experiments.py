@@ -229,7 +229,7 @@ def _dump_rows(fh, keys, res):
     NaN never equals itself.  Nothing is kept between batches.
     """
     itt = res["itt"]
-    bits = np.ascontiguousarray(itt).view(np.int64)
+    bits = itt.view(np.int64)
     distinct, inverse = np.unique(bits, return_inverse=True)
     texts = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
     # numpy 1.x and 2.x give a 2-D input's inverse different shapes
@@ -422,7 +422,7 @@ def monte_carlo(
                 rng.permuted(idx, axis=1, out=idx)
                 patch = evaluator.evaluate_index(idx)
                 if res is None:
-                    res = {k: np.empty((size,) + a.shape[1:], a.dtype) for k, a in patch.items()}
+                    res = {k: np.empty_like(a, shape=(size,) + a.shape[1:]) for k, a in patch.items()}
                 for key, arr in patch.items():
                     res[key][rows] = arr
             drawn += int(bad.size)

@@ -495,6 +495,61 @@ class TestEnumerate:
         assert dumps.pop().count(b"\r\n") == 1 + 11_550
 
 
+class TestRowPermutation:
+    """Metamorphic relations: the order of the CSV's rows must not matter.
+
+    Every population sum is exactly rounded, so ``analyze`` must print the
+    same bytes.  ``enumerate`` visits the same set of labelings in another
+    order, so its counts and truth are equal and its moments agree to
+    roundoff.
+    """
+
+    def test_analyze_stdout_identical(self, capsys, tmp_path):
+        # a spans 1e-30 to 1e30 in magnitude with mixed signs, so its exact
+        # power sums take many extraction levels
+        rng = np.random.default_rng(7)
+        columns = rng.normal(1.0, 2.0, size=(4, 5000))
+        columns[0] = rng.choice([-1.0, 1.0], 5000) * 10.0 ** rng.uniform(-30, 30, 5000)
+        path = tmp_path / "pop.csv"  # both orders are written here, so the reports name one path
+        outputs = []
+        for order in (np.arange(5000), rng.permutation(5000)):
+            write_population_csv(path, population.Population(*columns[:, order]))
+            for fmt in ("table", "json"):
+                code, out, err = run_cli(
+                    capsys, "analyze", str(path), "--sizes", "1250,2500,1250", "--format", fmt
+                )
+                assert code == 0, err
+                outputs.append(out)
+        assert outputs[2:] == outputs[:2]
+
+    def test_enumerate_moments_agree(self, capsys, tmp_path):
+        rng = np.random.default_rng(8)
+        columns = rng.normal([[2.0], [3.0], [1.0], [50.0]], [[1.0], [1.5], [1.2], [12.0]], (4, 12))
+        reports = []
+        for name, order in (("rows", np.arange(12)), ("permuted", rng.permutation(12))):
+            path = write_population_csv(tmp_path / f"{name}.csv", population.Population(*columns[:, order]))
+            code, out, err = run_cli(capsys, "enumerate", path, "--sizes", "4,4,4", "--format", "json")
+            assert code == 0, err
+            reports.append(strict_json(out))
+        base, permuted = reports
+        for key in ("truth", "assignment_count", "singular_count"):
+            assert permuted[key] == base[key], key
+        # Each labeling's group sums add the same values in another order,
+        # and the merge adds the 34,650 rows in another order: both move a
+        # result by a few ulps of the values it is built from, which are of
+        # the order of the arms' spread.  1e-12 times the largest arm
+        # standard deviation s (s^2 for covariances, which carry squared
+        # units) is about 4,500 ulps: far above that roundoff, far below
+        # any real disagreement, and it scales with the data.
+        s = max(float(np.std(columns[k])) for k in range(3))
+        for estimator in ("itt", "mr"):
+            for key, tol in (("mean", 1e-12 * s), ("cov", 1e-12 * s * s)):
+                np.testing.assert_allclose(
+                    permuted[estimator][key], base[estimator][key], rtol=0, atol=tol,
+                    err_msg=f"{estimator} {key}",
+                )
+
+
 class TestSimulate:
     def test_dump_byte_identical_across_threads(self, capsys, table_csv, tmp_path):
         # 10,000 replicates at n = 6 make three Monte Carlo batches

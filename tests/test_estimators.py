@@ -1,6 +1,12 @@
 import itertools
 import math
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -342,6 +348,106 @@ class TestBatchEvaluator:
         assert by_index.keys() == by_codes.keys()
         for key in by_index:
             np.testing.assert_allclose(by_index[key], by_codes[key], atol=1e-12, err_msg=key)
+
+    def test_bits_match_per_group_reference(self):
+        # Random populations at n = 6..15, then one whose arm A responses
+        # are all -0.0: numpy's sums and the BLAS products start from +0.0,
+        # so its group sums come out as +0.0 and its g*t terms as -0.0
+        # wherever g < 0; the evaluator must keep exactly those signs.
+        rng = np.random.default_rng(44)
+        cases = []
+        for n in range(6, 16):
+            sizes = GroupSizes(*rng.multinomial(n - 3, [1 / 3] * 3) + 1)
+            cases.append((Population(*rng.uniform(-5, 5, size=(4, n))), sizes))
+        zeros = Population([-0.0] * 6, [1.0, -2.0, 0.5, 3.0, -1.0, 2.0], [2.0] * 6, np.arange(6.0) - 2)
+        cases.append((zeros, GroupSizes(1, 1, 4)))
+        for pop, sizes in cases:
+            ev = BatchEvaluator(pop, sizes)
+            base = np.repeat(np.arange(3, dtype=np.int8), sizes.counts())
+            codes = np.array([base[rng.permutation(pop.n)] for _ in range(60)])
+            idx = np.array([rng.permutation(pop.n) for _ in range(60)])
+            for got, want in (
+                (ev.evaluate_codes(codes), per_group_reference(ev, pop, codes=codes)),
+                (ev.evaluate_index(idx), per_group_reference(ev, pop, idx=idx)),
+            ):
+                assert got.keys() == want.keys()
+                for key, value in want.items():
+                    assert np.array_equal(got[key], value, equal_nan=True), key
+                    np.testing.assert_array_equal(np.signbit(got[key]), np.signbit(value), key)
+
+    def test_mask_products_do_not_depend_on_blas_kernel(self, tmp_path):
+        # Evaluates 20 batches of enumerate-15's seed-5 population under the
+        # default OpenBLAS kernel and under the forced Prescott kernel.  The
+        # mask products, and every output computed from them alone, must
+        # keep their bytes.  mr and q_hat also read z_sum_sq, a BLAS dot
+        # whose bits do depend on the kernel today, so they are not compared.
+        if platform.machine().lower() not in ("x86_64", "amd64"):
+            pytest.skip("OPENBLAS_CORETYPE names x86-64 kernels")
+        try:
+            blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        except (TypeError, KeyError):
+            pytest.skip("numpy does not report its BLAS build (numpy < 1.26)")
+        if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+            pytest.skip(f"numpy links {blas.get('name')!r}, not a DYNAMIC_ARCH OpenBLAS")
+        # Prescott needs SSE3, which numpy's own x86-64 baseline requires:
+        # a CPU that imports numpy can run it.
+        root = Path(__file__).resolve().parent.parent
+        script = textwrap.dedent(
+            """
+            import sys
+            import numpy as np
+            from workloads import generate_population
+            from triarm import BatchEvaluator, GroupSizes, Population, normalize_z
+            from triarm.assignment import iter_code_batches
+            pop, _ = normalize_z(Population(**generate_population(5, 15)))
+            ev = BatchEvaluator(pop, GroupSizes(5, 5, 5))
+            batches = iter_code_batches(GroupSizes(5, 5, 5))
+            res = [ev.evaluate_codes(next(batches)) for _ in range(20)]
+            keys = ("itt", "zbar", "az_a", "e_sq")
+            np.savez(sys.argv[1], **{k: np.concatenate([r[k] for r in res]) for k in keys})
+            """
+        )
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root / "perfbench")])
+        outputs = []
+        for coretype in (None, "Prescott"):
+            path = tmp_path / f"{coretype}.npz"
+            run_env = env if coretype is None else dict(env, OPENBLAS_CORETYPE=coretype)
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(path)], env=run_env, capture_output=True, text=True
+            )
+            assert proc.returncode == 0, proc.stderr
+            with np.load(path) as arrays:
+                outputs.append({key: arrays[key] for key in arrays.files})
+        default, prescott = outputs
+        assert default["itt"].shape == (20 * 4096, 3)
+        for key, value in default.items():
+            differ = np.count_nonzero(value.view(np.int64) != prescott[key].view(np.int64))
+            assert differ == 0, f"{key}: {differ} elements differ between BLAS kernels"
+
+
+def per_group_reference(ev, pop, codes=None, idx=None):
+    """``BatchEvaluator`` output built from three separate per-group sum routes.
+
+    With ``codes``, group k's sums are one mask product
+    ``(codes == k) @ [y_k, y_k z, y_k^2, z]``; with ``idx``, each is a
+    ``take(...).sum(axis=1)`` gather of that group's contiguous columns.
+    """
+    responses = (pop.a, pop.b, pop.c)
+    sums = []
+    for k, y in enumerate(responses):
+        operands = (y, y * pop.z, y**2, pop.z)
+        if codes is not None:
+            sums.append((codes == k).astype(float) @ np.column_stack(operands))
+        else:
+            lo = int(ev.counts[:k].sum())
+            block = np.ascontiguousarray(idx[:, lo : lo + int(ev.counts[k])])
+            sums.append(np.column_stack([x.take(block).sum(axis=1) for x in operands]))
+    t, zy, ysq, g = (np.column_stack([s[:, j] for s in sums]) for j in range(4))
+    u = zy[:, 0] + zy[:, 1] + zy[:, 2]  # no zero start, as the evaluator adds it
+    out = rowwise_group_sum_regression(t, g, u, ysq.sum(axis=1), pop.z @ pop.z, ev.counts, pop.n)
+    out["az_a"] = zy[:, 0] / ev.counts[0]
+    return out
 
 
 def rowwise_group_sum_regression(t, g, u, ysq, zsq, counts, n):
