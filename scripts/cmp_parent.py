@@ -14,6 +14,10 @@ tree's.  The list covers:
 * ``simulate`` on a 4-subject population whose draws are often singular,
   so batches redraw, and ``enumerate`` on it (n <= 4: no residual degrees
   of freedom, so ``sigma_hat_sq`` is ``null``);
+* ``simulate --threads 2 --dump`` on a 24-subject population whose
+  covariate is 1 on two subjects and 0 on the rest: at sizes 2,2,20 about
+  1 draw in 138 is singular, and each 4,096-row batch spans two index
+  chunks, so redraw rounds write rows that are not contiguous;
 * ``enumerate`` in both modes with ``--dump``, ``analyze`` with
   ``--replicate`` and ``simulate`` on the raw covariate
   (``--normalize off``), all on a 12-subject population;
@@ -73,6 +77,18 @@ def _write_csv(path: Path, columns: dict) -> Path:
     return path
 
 
+def sparse_z_columns(seed: int, n: int) -> dict:
+    """Normal ``a``, ``b``, ``c`` and ``z = (1, 1, 0, ..., 0)``.
+
+    At sizes 2,2,(n - 4) a draw is singular when both ones fall in A or
+    both in B: 2 of the C(n, 2) placements.
+    """
+    rng = np.random.default_rng(seed)
+    columns = {name: rng.normal(1.0, 2.0, n).tolist() for name in "abc"}
+    columns["z"] = [1.0, 1.0] + [0.0] * (n - 2)
+    return columns
+
+
 def wide_columns(seed: int, n: int) -> dict:
     """Normal columns, except ``a``: magnitudes 10**U(-30, 30), mixed signs."""
     rng = np.random.default_rng(seed)
@@ -99,6 +115,9 @@ def command_list(work: Path) -> list:
         ["enumerate", singular, "--sizes", "1,1,2"],
     ):
         commands.append((argv + ["--format", "json", "--dump", str(dump)], dump))
+    sparse = str(_write_csv(work / "sparse24.csv", sparse_z_columns(SEED, 24)))
+    argv = ["simulate", sparse, "--sizes", "2,2,20", "--reps", "10000", "--threads", "2"]
+    commands.append((argv + ["--seed", "4", "--dump", str(dump)], dump))
     small = work / "small12.csv"
     write_population(small, generate_population(SEED, 12))
     for mode in ("all", "a-before-b"):

