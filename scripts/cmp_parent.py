@@ -23,7 +23,10 @@ tree's.  The list covers:
   (``--normalize off``), all on a 12-subject population;
 * ``analyze`` on a 5,000-subject population whose ``a`` spans 1e-30 to
   1e30 in magnitude, so the exact sums of its powers take many levels;
-* ``reproduce`` for every scenario.
+* ``reproduce`` for every scenario;
+* ``--help`` at the top level and for each subcommand, and the usage
+  error ``reproduce --scenario nope``, which pin the help text, the
+  listed scenario names and the exit codes.
 
 For each command it compares stdout, stderr, the exit code and the dump
 file's bytes, prints every command that differs, and exits 1 if any does.
@@ -130,6 +133,9 @@ def command_list(work: Path) -> list:
     commands.append((["analyze", wide, "--sizes", "1250,2500,1250", "--format", "json"], None))
     for name in SCENARIOS:
         commands.append((["reproduce", "--scenario", name, "--format", "json"], None))
+    for sub in ([], ["analyze"], ["enumerate"], ["simulate"], ["reproduce"]):
+        commands.append((sub + ["--help"], None))
+    commands.append((["reproduce", "--scenario", "nope"], None))
     return commands
 
 

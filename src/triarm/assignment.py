@@ -126,7 +126,8 @@ class Assignment:
         return cls(np.array([_check_group(str(lab)) for lab in labels], dtype=np.int8))
 
 
-def worker_generator(seed, stream: int) -> np.random.Generator:
+# quoted: evaluating np.random here would load numpy.random at import time
+def worker_generator(seed, stream: int) -> "np.random.Generator":
     """Independent generator for worker/batch ``stream`` under ``seed``.
 
     Splitting goes through ``SeedSequence(seed, spawn_key=(stream,))``,

@@ -20,7 +20,6 @@ rounds on one batch.
 
 import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing, contextmanager
 from dataclasses import dataclass
 
@@ -128,6 +127,9 @@ def _process_in_order(jobs, compute, threads: int):
         for job in jobs:
             yield compute(job)
         return
+    # imported here: the pool and the logging it loads cost serial runs 5 ms
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque()
         try:
@@ -460,6 +462,8 @@ def monte_carlo(
             if dump is not None:
                 _dump_rows(dump, range(written, written + len(res["q_hat"])), res)
                 written += len(res["q_hat"])
+            # free this batch before the generator computes the next one
+            del res, dev, nominal
 
     itt_cov = itt.m2 / (reps - 1)
     mr_cov = mr.m2 / (reps - 1)

@@ -68,7 +68,8 @@ def conditional_constancy_population() -> Population:
     )
 
 
-def random_conditional_constancy_population(rng: np.random.Generator) -> Population:
+# quoted: evaluating np.random here would load numpy.random at import time
+def random_conditional_constancy_population(rng: "np.random.Generator") -> Population:
     """Random six-subject population satisfying conditional constancy.
 
     The covariate takes two values, three subjects each; within each
@@ -88,7 +89,8 @@ def random_conditional_constancy_population(rng: np.random.Generator) -> Populat
     return Population(*responses, z)
 
 
-def random_additive_population(rng: np.random.Generator, n: int) -> Population:
+# quoted: evaluating np.random here would load numpy.random at import time
+def random_additive_population(rng: "np.random.Generator", n: int) -> Population:
     """Random additive population with normalized, all-distinct covariate.
 
     Distinct covariate values make every assignment non-singular as soon

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import functools
@@ -306,10 +307,10 @@ class TestChunkedMonteCarlo:
             tracemalloc.stop()
         # Two 2,500-row batches.  While the second draws: one 81-row index
         # chunk (518 KB), its largest group block (259 KB) and one gather
-        # from it (259 KB), the batch's per-row results (283 KB) and the
-        # merged first batch's (603 KB with its nominal covariances):
-        # 1.92 MB, 2.4 MB measured.  A 2**18-element chunk alone is 2 MB.
-        assert peak < 3.5e6
+        # from it (259 KB) and the batch's per-row results (283 KB): 1.32 MB,
+        # 1.74 MB measured.  The merged first batch is freed by then; kept,
+        # it added 603 KB with its nominal covariances (2.4 MB measured).
+        assert peak < 2.2e6
 
     @pytest.mark.parametrize("n, sizes", [(5, (1, 2, 2)), (100, (30, 40, 30)), (800, (200, 400, 200))])
     def test_evaluate_index_matches_fancy_gathers(self, n, sizes):
@@ -451,13 +452,14 @@ class TestThreadCap:
     @staticmethod
     def record_pools(monkeypatch):
         sizes = []
-        real = triarm.experiments.ThreadPoolExecutor
+        real = concurrent.futures.ThreadPoolExecutor
 
         def recording(max_workers):
             sizes.append(max_workers)
             return real(max_workers=max_workers)
 
-        monkeypatch.setattr(triarm.experiments, "ThreadPoolExecutor", recording)
+        # _process_in_order imports the pool class when it starts one
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
         return sizes
 
     @pytest.mark.filterwarnings("ignore:q_tilde")
