@@ -8,13 +8,14 @@ plus a population into the observed response vector.
 Enumeration unranks: each batch is a contiguous range of ranks, turned
 into label codes by vectorized multiset-permutation unranking in int64
 (mode ``a-before-b`` first shifts its ranks onto ranks among all label
-sequences).  A batch reads its first ``head`` positions from a prefix
-table, runs the per-position unranking loop over the middle positions,
-and reads its last ``tail`` positions from a suffix table grouped by
-composition; head and tail are at most 8, so memory is one batch plus
-two tables of at most 3**8 rows each.  The order is the plain
-lexicographic one, no batch depends on the one before, and enumeration
-is refused once the number of label sequences times n reaches 2**63.
+sequences; the shifted ranks still ascend).  A batch reads its first
+``head`` positions from a prefix table, one run of rows per prefix, runs
+the per-position unranking loop over the middle positions, and reads its
+last ``tail`` positions from a suffix table grouped by composition; head
+and tail are at most 8, so memory is one batch plus two tables of at
+most 3**8 rows each.  The order is the plain lexicographic one, no batch
+depends on the one before, and enumeration is refused once the number
+of label sequences times n reaches 2**63.
 
 Randomness contract: ``worker_generator(seed, stream)`` is built on
 numpy's Philox bit generator (counter-based, splittable).  It produces
@@ -168,13 +169,18 @@ class _UnrankTables(NamedTuple):
     whose counts fit the group sizes, in lexicographic order; prefix i
     is shared by ``completions[i]`` label sequences, the ranks
     ``starts[i]`` onwards, and leaves ``rest_a[i]`` A and ``rest_b[i]``
-    B labels to place.  ``suffixes`` holds every sequence of the last
-    ``tail`` positions, grouped by its A and B counts (k_A, k_B) with
-    each group still lexicographic; group (k_A, k_B) starts at row
+    B labels to place.  ``prefixes`` is a view of ``padded``, whose rows
+    continue with zeros up to a width of 1, 2, 4 or 8 positions, which
+    numpy copies as one machine word; that width never exceeds n, and
+    :func:`_unrank` writes every position past ``head`` after the
+    prefix.  ``suffixes`` holds every sequence of the last ``tail``
+    positions, grouped by its A and B counts (k_A, k_B) with each group
+    still lexicographic; group (k_A, k_B) starts at row
     ``offsets[k_A * (tail + 1) + k_B]``.
     """
 
     prefixes: np.ndarray
+    padded: np.ndarray
     starts: np.ndarray
     completions: np.ndarray
     rest_a: np.ndarray
@@ -211,11 +217,14 @@ def _unrank_tables(sizes: GroupSizes) -> _UnrankTables:
         rest = sizes.n_a - a
         ways[a, b] = math.comb(m, rest) * math.comb(m - rest, sizes.n_b - b)
     completions = ways[k_a, k_b]
+    padded = np.zeros((len(prefixes), 1 << (head - 1).bit_length()), dtype=np.int8)
+    padded[:, :head] = prefixes
     suffixes, s_a, s_b = _label_sequences(tail, sizes)
     group = s_a * (tail + 1) + s_b
     order = np.argsort(group, kind="stable")
     return _UnrankTables(
-        prefixes=prefixes,
+        prefixes=padded[:, :head],
+        padded=padded,
         starts=np.cumsum(completions) - completions,
         completions=completions,
         rest_a=rest_a,
@@ -228,40 +237,57 @@ def _unrank_tables(sizes: GroupSizes) -> _UnrankTables:
 def _unrank(sizes: GroupSizes, tables: _UnrankTables, rank: np.ndarray) -> np.ndarray:
     """Label codes of the lexicographic int64 ranks in ``rank``, one row each.
 
-    Unranking of multiset permutations (Knuth, TAOCP 4A, 7.2.1.2).  The
-    first ``head`` positions come from the prefix table: the last prefix
-    starting at or before a rank is that rank's, and the rank within the
-    prefix's ``left`` completions remains.  Each middle position then
-    takes one pass that picks A, B or C for every row at once: of the
-    ``left`` completions, ``left * n_A / m`` put A next and
-    ``left * n_B / m`` put B next, where ``n_A``, ``n_B`` are the labels
-    still to place and ``m`` the positions still open.  The last
-    ``tail`` positions are row ``rank`` of the suffix group with the
-    remaining A and B counts.
+    Unranking of multiset permutations (Knuth, TAOCP 4A, 7.2.1.2).
+    ``rank`` must be non-empty and in ascending order, as
+    :func:`iter_code_batches` produces it in both modes; neither is
+    checked.  Each prefix then covers one run of consecutive rows: the
+    runs of the prefixes from the first row's to the last row's are
+    found by searching ``rank`` for their starts and ends, and each
+    prefix's row of the padded table and its counts are repeated over
+    its run.  The rank within the prefix's ``left`` completions remains.
+    Each middle position takes one pass that picks A, B or C for every
+    row at once: of the ``left`` completions, ``left * n_A / m`` put A
+    next and ``left * n_B / m`` put B next, where ``n_A``, ``n_B`` are
+    the labels still to place and ``m`` the positions still open.  The
+    last ``tail`` positions are row ``rank`` of the suffix group with
+    the remaining A and B counts; with no middle positions that group is
+    the prefix's own, so a row's suffix row is its rank plus one shift
+    per prefix.
     """
     n, rows = sizes.n, len(rank)
     head, tail = tables.prefixes.shape[1], tables.suffixes.shape[1]
-    pid = np.searchsorted(tables.starts, rank, side="right") - 1
-    rank = rank - tables.starts[pid]
-    left = tables.completions[pid]
-    n_a = tables.rest_a[pid]
-    n_b = tables.rest_b[pid]
     codes = np.empty((rows, n), dtype=np.int8)
-    _gather_rows(tables.prefixes, pid, codes[:, :head])
-    for pos in range(head, n - tail):
-        m = n - pos
-        with_a = left * n_a // m
-        with_b = left * n_b // m
-        with_ab = with_a + with_b
-        past_a = rank >= with_a
-        past_b = rank >= with_ab
-        codes[:, pos] = past_a
-        codes[:, pos] += past_b
-        rank -= np.where(past_b, with_ab, np.where(past_a, with_a, 0))
-        left = np.where(past_b, left - with_ab, np.where(past_a, with_b, with_a))
-        n_a -= ~past_a
-        n_b -= past_a & ~past_b
-    row = tables.offsets[n_a * (tail + 1) + n_b] + rank
+    first = tables.starts.searchsorted(rank[0], "right") - 1
+    last = tables.starts.searchsorted(rank[-1], "right") - 1
+    runs = slice(first, last + 1)
+    starts = tables.starts[runs]
+    lengths = rank.searchsorted(starts + tables.completions[runs]) - rank.searchsorted(starts)
+    # the padding past head is overwritten below
+    width = tables.padded.shape[1]
+    void = f"V{width}"
+    codes[:, :width].view(void)[:, 0] = tables.padded.view(void)[runs, 0].repeat(lengths)
+    if head + tail == n:
+        group = tables.rest_a[runs] * (tail + 1) + tables.rest_b[runs]
+        row = rank + (tables.offsets[group] - starts).repeat(lengths)
+    else:
+        rank = rank - starts.repeat(lengths)
+        left = tables.completions[runs].repeat(lengths)
+        n_a = tables.rest_a[runs].repeat(lengths)
+        n_b = tables.rest_b[runs].repeat(lengths)
+        for pos in range(head, n - tail):
+            m = n - pos
+            with_a = left * n_a // m
+            with_b = left * n_b // m
+            with_ab = with_a + with_b
+            past_a = rank >= with_a
+            past_b = rank >= with_ab
+            codes[:, pos] = past_a
+            codes[:, pos] += past_b
+            rank -= np.where(past_b, with_ab, np.where(past_a, with_a, 0))
+            left = np.where(past_b, left - with_ab, np.where(past_a, with_b, with_a))
+            n_a -= ~past_a
+            n_b -= past_a & ~past_b
+        row = tables.offsets[n_a * (tail + 1) + n_b] + rank
     _gather_rows(tables.suffixes, row, codes[:, n - tail :])
     return codes
 
@@ -273,7 +299,7 @@ def _gather_rows(table: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
     it whole instead of one byte at a time.
     """
     void = f"V{table.shape[1]}"
-    out.view(void)[:, 0] = table.view(void)[index, 0]
+    out.view(void)[:, 0] = table.view(void)[:, 0].take(index)
 
 
 def _a_before_b_starts(sizes: GroupSizes) -> np.ndarray:
@@ -299,14 +325,16 @@ def iter_code_batches(
 
     Lexicographic over label sequences with A < B < C; every batch but
     the last holds ``_BATCH_ROWS`` rows and is unranked from its own rank
-    range.  The prefix and suffix tables (:func:`_unrank_tables`) are
-    built once per call, on the first ``next()``, after both guards
-    below; every batch reads its first and last positions from them and
-    unranks only the positions in between.  Mode ``a-before-b`` (defined
-    only for n_A == n_B) keeps the assignments whose first A-labeled
-    subject precedes the first B-labeled one, exactly half (swapping A
-    and B pairs each kept assignment with a dropped one);
-    :func:`_a_before_b_starts` shifts its ranks.
+    range, in ascending order as :func:`_unrank` requires.  The prefix
+    and suffix tables (:func:`_unrank_tables`) are built once per call,
+    on the first ``next()``, after both guards below; every batch reads
+    its first and last positions from them, each prefix over one run of
+    consecutive rows, and unranks only the positions in between.  Mode
+    ``a-before-b`` (defined only for n_A == n_B) keeps the assignments
+    whose first A-labeled subject precedes the first B-labeled one,
+    exactly half (swapping A and B pairs each kept assignment with a
+    dropped one); :func:`_a_before_b_starts` shifts its ranks by a block
+    shift that never decreases, so they still ascend.
 
     Raises :class:`EnumerationLimitError` when the count exceeds
     ``limit`` or when all label sequences (twice the count in

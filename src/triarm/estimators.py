@@ -121,10 +121,17 @@ def _group_sum_regression(t, g, u, ysq, zsq, counts, n) -> dict:
     (the z group means) are column-major (m, 3) arrays.
     """
     t, g = np.asarray(t), np.asarray(g)
-    # g*g, g*t, t*t over n_k; numpy's row-wise sum of three: +0.0, A, B, C
-    p = np.stack([g * g, g * t, t * t], axis=1)
-    p /= counts[:, None, None]
-    gg, gt, tt = 0.0 + p[0] + p[1] + p[2]
+    # g*g, g*t, t*t over n_k, one (3, m) block each, summed over the
+    # groups as numpy's row-wise sum of three: +0.0, A, B, C
+    p = np.empty((3,) + t.shape)
+    np.multiply(g, g, out=p[0])
+    np.multiply(g, t, out=p[1])
+    np.multiply(t, t, out=p[2])
+    p /= counts[:, None]
+    acc = np.add(p[:, 0], 0.0)
+    acc += p[:, 1]
+    acc += p[:, 2]
+    gg, gt, tt = acc
     ybar = (t / counts[:, None]).T
     zbar = (g / counts[:, None]).T
     f_sq = zsq - gg

@@ -74,8 +74,10 @@ class _Moments:
             return
         # one contiguous row per component: fast, pairwise-summed reductions
         cols = np.ascontiguousarray(rows.T)
-        mean_b = cols.mean(axis=1)
         n_a, n_b = float(self.count), float(rows.shape[0])
+        # ndarray.mean's own steps, a pairwise sum and then one division
+        mean_b = np.add.reduce(cols, axis=1)
+        mean_b /= n_b
         n = n_a + n_b
         delta = mean_b - self.mean
         if self.m2 is not None:
@@ -94,7 +96,7 @@ class _Moments:
                 self.m3 += (
                     m3_b + delta**3 * w * (n_a - n_b) / n + 3.0 * delta * (n_a * v_b - n_b * v_a) / n
                 )
-            self.m2 += m2_b + np.outer(delta, delta) * w
+            self.m2 += m2_b + delta[:, None] * delta * w
         self.mean += delta * (n_b / n)
         self.count += rows.shape[0]
 

@@ -89,6 +89,31 @@ def _small_cases(max_n):
                 yield GroupSizes(n_a, n_b, n_c), "a-before-b"
 
 
+def _boundary_ranks(sizes, mode, tables):
+    """Sorted full ranks of the mode's sequences: every prefix start and
+    the rank before it, the first and last 4,096 and 5,000 random ones."""
+    count = assignment_count(sizes, mode)
+    # prefix starts as ranks of the mode: kept block k begins at full
+    # rank 2 * starts[k], after starts[k] kept and as many dropped ones
+    edges = np.unique(np.concatenate([tables.starts, tables.starts[1:] - 1]))
+    starts = _a_before_b_starts(sizes) if mode == "a-before-b" else np.zeros(1, np.int64)
+    block = np.searchsorted(2 * starts, edges, side="right") - 1
+    kept = edges - starts[block]
+    kept = kept[kept < np.append(starts[1:], count)[block]]
+    rng = np.random.default_rng(2024)
+    kept = np.unique(
+        np.concatenate(
+            [
+                np.arange(4096),
+                np.arange(count - 4096, count),
+                kept,
+                rng.integers(0, count, 5000),
+            ]
+        )
+    )
+    return kept + starts[np.searchsorted(starts, kept, side="right") - 1]
+
+
 class TestGroupSizes:
     def test_rejects_zero_group(self):
         with pytest.raises(ValueError, match="positive"):
@@ -209,35 +234,40 @@ class TestEnumeration:
     )
     def test_tables_at_their_cap_match_reference_unrank(self, sizes, mode):
         sizes = GroupSizes(*sizes)
-        total, count = assignment_count(sizes), assignment_count(sizes, mode)
+        total = assignment_count(sizes)
         tables = _unrank_tables(sizes)
         assert tables.prefixes.shape[1] == tables.suffixes.shape[1] == 8
-        # each prefix start and the rank before it, as ranks of the mode:
-        # kept block k begins at full rank 2 * starts[k], after starts[k]
-        # kept and as many dropped sequences
-        edges = np.unique(np.concatenate([tables.starts, tables.starts[1:] - 1]))
-        starts = _a_before_b_starts(sizes) if mode == "a-before-b" else np.zeros(1, np.int64)
-        block = np.searchsorted(2 * starts, edges, side="right") - 1
-        kept = edges - starts[block]
-        kept = kept[kept < np.append(starts[1:], count)[block]]
-        rng = np.random.default_rng(2024)
-        kept = np.unique(
-            np.concatenate(
-                [
-                    np.arange(4096),
-                    np.arange(count - 4096, count),
-                    kept,
-                    rng.integers(0, count, 5000),
-                ]
-            )
-        )
-        rank = kept + starts[np.searchsorted(starts, kept, side="right") - 1]
+        rank = _boundary_ranks(sizes, mode, tables)
         given = rank.copy()
         got = _unrank(sizes, tables, rank)
         np.testing.assert_array_equal(rank, given)
         np.testing.assert_array_equal(got, reference_unrank(sizes, total, rank))
         if mode == "a-before-b":
             assert (np.argmax(got != 2, axis=1) == np.argmax(got == 0, axis=1)).all()
+
+    # n = 15, 17 and 24: the middle loop runs for 0, 1 and 8 positions
+    @pytest.mark.parametrize("sizes, mode", [((5, 5, 5), "all"), ((6, 6, 5), "all"), ((8, 8, 8), "a-before-b")])
+    def test_unrank_pieces_cut_at_prefix_boundaries(self, sizes, mode):
+        # _unrank reads each prefix's rows as one run of ascending ranks;
+        # consecutive pieces of 1, 2, 97 and 4,096 rows in turn lie inside
+        # one prefix, start or end on a prefix start, or span hundreds of
+        # prefixes
+        sizes = GroupSizes(*sizes)
+        tables = _unrank_tables(sizes)
+        rank = _boundary_ranks(sizes, mode, tables)
+        expected = reference_unrank(sizes, assignment_count(sizes), rank)
+        widths = itertools.cycle((1, 2, 97, 4096))
+        lo, opening, closing = 0, 0, 0
+        while lo < len(rank):
+            hi = lo + next(widths)
+            piece = rank[lo:hi]
+            given = piece.copy()
+            np.testing.assert_array_equal(_unrank(sizes, tables, piece), expected[lo:hi])
+            np.testing.assert_array_equal(piece, given)
+            opening += np.isin(piece[0], tables.starts)
+            closing += np.isin(piece[-1] + 1, tables.starts)
+            lo = hi
+        assert opening > 0 and closing > 0
 
     @pytest.mark.parametrize("limit", [10**40, 10**60])
     def test_int64_rank_ceiling_guard(self, limit, monkeypatch):
