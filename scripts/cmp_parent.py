@@ -2,7 +2,7 @@
 
 Usage::
 
-    python3 scripts/cmp_parent.py REF
+    python3 scripts/cmp_parent.py REF [--numeric]
 
 Extracts ``git archive REF`` into a temporary directory and runs one fixed
 list of ``triarm`` commands with that tree's ``src`` and with the working
@@ -43,8 +43,24 @@ compares like with like.  Everything is written to the temporary
 directory, which is removed at the end; nothing is written inside the
 repository, bytecode caches included.  Takes about 15 s on a two-core
 host.
+
+``--numeric`` checks a declared bit change instead of byte identity.  A
+command whose bytes differ passes only when its exit code and stderr are
+identical and its stdout is strict JSON on both sides (a table rounds its
+numbers, so a changed table fails): the two documents and the two dump
+CSVs must have the same keys, shapes, integers, strings, null values and
+row labels, and every float may move by at most ``NUMERIC_BOUND`` times
+the data's spread.  The spread is the largest population standard
+deviation of the arms ``a``, ``b`` and ``c`` in the command's input CSV
+(1 for ``reproduce``, whose populations are built in).  For each such
+command it prints how many floats differ, the largest difference in ulps
+(counted through zero, so a tiny value that changes sign counts many) and
+the largest difference over the spread, and it exits 1 if any command
+fails.
 """
 
+import argparse
+import json
 import os
 import subprocess
 import sys
@@ -67,6 +83,12 @@ from workloads import (  # noqa: E402
 )
 
 SEED = 5
+
+#: Under ``--numeric`` a float may differ by this fraction of the data's
+#: spread: the exact engines' gate (``scenarios.BIAS_TOL``), far above the
+#: few ulps by which a reordered sum moves a result, far below any real
+#: disagreement.
+NUMERIC_BOUND = 1e-12
 SCENARIOS = ("table2", "example2", "example3", "example4", "theorem5", "theorem6")
 
 #: The 4-subject population of ``test_redraws_match_whole_batch``: at sizes
@@ -162,12 +184,126 @@ def run(src: Path, argv: list, dump, cwd: Path) -> tuple:
     return proc.stdout, proc.stderr, proc.returncode, dumped
 
 
+def _json_parts(text: bytes):
+    """A strict JSON document as (skeleton, floats).
+
+    The skeleton lists ``(path, kind, value)`` for every node, with each
+    float's value left out; the floats come in the same order.
+    """
+    skeleton, floats = [], []
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    def walk(obj, path):
+        if isinstance(obj, dict):
+            skeleton.append((path, "object", len(obj)))
+            for key, value in obj.items():
+                walk(value, f"{path}.{key}")
+        elif isinstance(obj, list):
+            skeleton.append((path, "array", len(obj)))
+            for i, value in enumerate(obj):
+                walk(value, f"{path}[{i}]")
+        elif isinstance(obj, float):
+            skeleton.append((path, "float", None))
+            floats.append(obj)
+        else:
+            skeleton.append((path, type(obj).__name__, obj))
+
+    walk(json.loads(text, parse_constant=refuse), "")
+    return skeleton, floats
+
+
+def _dump_parts(data: bytes):
+    """A dump CSV as (skeleton, floats): header and row labels, then every value cell."""
+    lines = data.decode("utf-8").split("\r\n")
+    rows = [line.split(",") for line in lines[1:-1]]
+    width = len(lines[0].split(","))
+    if lines[-1] or any(len(row) != width for row in rows):
+        raise ValueError("not a dump CSV")
+    floats = np.array([row[1:] for row in rows], dtype=np.float64).ravel()
+    return [lines[0], [row[0] for row in rows]], floats
+
+
+def _float_report(before, after, spread):
+    """(problems, summary) for two equally long float sequences."""
+    a = np.asarray(before, dtype=np.float64)
+    b = np.asarray(after, dtype=np.float64)
+    differ = a.view(np.int64) != b.view(np.int64)
+    if not differ.any():
+        return [], f"0 of {a.size} floats differ"
+    a, b = a[differ], b[differ]
+    if not (np.isfinite(a) & np.isfinite(b)).all():
+        count = np.count_nonzero(~np.isfinite(a) | ~np.isfinite(b))
+        return [f"non-finite values differ at {count} positions"], ""
+
+    def ordered(x):  # float64 bits as integers in the floats' order, -0.0 at 0
+        bits = int(np.float64(x).view(np.int64))
+        return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+    ulps = max(abs(ordered(x) - ordered(y)) for x, y in zip(a.tolist(), b.tolist()))
+    worst = float(np.max(np.abs(a - b))) / spread
+    summary = (
+        f"{a.size} of {differ.size} floats differ, at most {ulps} ulps "
+        f"and {worst:.2e} of the spread {spread:.4g}"
+    )
+    problems = [f"a float moved by {worst:.2e} of the spread"] if worst > NUMERIC_BOUND else []
+    return problems, summary
+
+
+def compare_numeric(before, after, spread: float):
+    """(problems, summary) of one command's two runs, each (stdout, stderr, exit code, dump).
+
+    ``problems`` is empty when the runs differ only by floats within
+    ``NUMERIC_BOUND`` of ``spread``.
+    """
+    problems = [name for name, x, y in zip(("stderr", "exit code"), before[1:3], after[1:3]) if x != y]
+    compared, floats = [], []
+    for name, split, kind, x, y in (
+        ("stdout", _json_parts, "strict JSON", before[0], after[0]),
+        ("dump", _dump_parts, "a dump CSV", before[3], after[3]),
+    ):
+        if x == y:
+            continue
+        if x is None or y is None:
+            problems.append(f"{name} written on one side only")
+            continue
+        try:
+            (skeleton_x, floats_x), (skeleton_y, floats_y) = split(x), split(y)
+        except ValueError:
+            problems.append(f"{name} differs and is not {kind}")
+            continue
+        if skeleton_x != skeleton_y:
+            problems.append(f"{name} keys, shapes, integers, strings or labels differ")
+            continue
+        compared.append(name)
+        floats.append((floats_x, floats_y))
+    if not floats:
+        return problems, ""
+    float_problems, summary = _float_report(
+        np.concatenate([x for x, _ in floats]), np.concatenate([y for _, y in floats]), spread
+    )
+    return problems + float_problems, f"{', '.join(compared)}: {summary}"
+
+
+def data_spread(argv: list) -> float:
+    """Largest population standard deviation of ``a``, ``b``, ``c`` in the command's input CSV."""
+    if argv[0] not in ("analyze", "enumerate", "simulate"):
+        return 1.0
+    columns = np.loadtxt(argv[1], delimiter=",", skiprows=1, usecols=(0, 1, 2), ndmin=2)
+    return float(np.std(columns, axis=0).max())
+
+
 def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    if len(args) != 1:
-        print("usage: python3 scripts/cmp_parent.py REF", file=sys.stderr)
-        return 2
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", args[0]], capture_output=True)
+    parser = argparse.ArgumentParser(description="Compare triarm's output with another commit's.")
+    parser.add_argument("ref", help="the commit to compare against, as git names it")
+    parser.add_argument(
+        "--numeric",
+        action="store_true",
+        help=f"accept float differences within {NUMERIC_BOUND:g} of the data's spread",
+    )
+    args = parser.parse_args(argv)
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.ref], capture_output=True)
     if archive.returncode != 0:
         sys.stderr.write(archive.stderr.decode(errors="replace"))
         return 2
@@ -179,7 +315,7 @@ def main(argv=None) -> int:
         work = tmp / "work"
         work.mkdir()
         commands = command_list(work)
-        differ = 0
+        differ = failed = 0
         for cmd, dump in commands:
             before = run(parent / "src", cmd, dump, work)
             after = run(ROOT / "src", cmd, dump, work)
@@ -188,10 +324,22 @@ def main(argv=None) -> int:
                 for name, a, b in zip(("stdout", "stderr", "exit code", "dump"), before, after)
                 if a != b
             ]
-            if parts:
-                differ += 1
-                print(f"DIFFERS ({', '.join(parts)}): triarm {' '.join(cmd)}")
-    print(f"{differ} of {len(commands)} commands differ from {args[0]}")
+            if not parts:
+                continue
+            differ += 1
+            line = f"({', '.join(parts)}): triarm {' '.join(cmd)}"
+            if not args.numeric:
+                print(f"DIFFERS {line}")
+                continue
+            problems, summary = compare_numeric(before, after, data_spread(cmd))
+            failed += bool(problems)
+            print(f"{'FAILS' if problems else 'WITHIN'} {line}")
+            for text in problems + ([summary] if summary else []):
+                print(f"    {text}")
+    print(f"{differ} of {len(commands)} commands differ from {args.ref}")
+    if args.numeric:
+        print(f"{failed} of them fail the numeric check (bound {NUMERIC_BOUND:g} of the spread)")
+        return 1 if failed else 0
     return 1 if differ else 0
 
 

@@ -15,9 +15,15 @@ independent computation routes are provided and cross-checked in tests:
   it over many assignments for the engines, and
   :func:`mr_via_normal_equations` is its one-row call; both get the
   nominal covariance from :func:`nominal_covariance`.  Group sums travel
-  as (3, m) arrays, a row per group, added as ``0.0 + A + B + C``: numpy's
-  row-wise sum of three, whose +0.0 start makes three -0.0 sum to +0.0.
-  The (m, 3) results may be column-major views; never assume C order.
+  as (3, m) arrays, a row per group.  The kernel divides by the counts
+  through their reciprocals, ``t * (1.0 / counts)``, and contracts each
+  sum over the groups with ``np.einsum("km,km->m", x, y)``, which gives
+  the bits of ``0.0 + x[0]*y[0] + x[1]*y[1] + x[2]*y[2]``: every product
+  rounded on its own, added in group order from a +0.0 start, so three
+  -0.0 terms sum to +0.0.  ``TestGroupSumKernel`` pins that order,
+  ``test_einsum_sums_three_products_from_a_zero_start`` included, and
+  fails on a numpy build that fuses the multiply and the add.  The (m, 3)
+  results may be column-major views; never assume C order.
 
 Both return the same :class:`MREstimate` contract, including the
 conventional ("nominal") covariance matrix, which randomization does
@@ -121,19 +127,15 @@ def _group_sum_regression(t, g, u, ysq, zsq, counts, n) -> dict:
     (the z group means) are column-major (m, 3) arrays.
     """
     t, g = np.asarray(t), np.asarray(g)
-    # g*g, g*t, t*t over n_k, one (3, m) block each, summed over the
-    # groups as numpy's row-wise sum of three: +0.0, A, B, C
-    p = np.empty((3,) + t.shape)
-    np.multiply(g, g, out=p[0])
-    np.multiply(g, t, out=p[1])
-    np.multiply(t, t, out=p[2])
-    p /= counts[:, None]
-    acc = np.add(p[:, 0], 0.0)
-    acc += p[:, 1]
-    acc += p[:, 2]
-    gg, gt, tt = acc
-    ybar = (t / counts[:, None]).T
-    zbar = (g / counts[:, None]).T
+    inv = 1.0 / counts
+    ybar_k = t * inv[:, None]
+    zbar_k = g * inv[:, None]
+    # each sum over the groups: +0.0, then the three rounded products
+    # added in group order (TestGroupSumKernel pins it)
+    gg = np.einsum("km,km->m", g, zbar_k)
+    gt = np.einsum("km,km->m", g, ybar_k)
+    tt = np.einsum("km,km->m", t, ybar_k)
+    ybar, zbar = ybar_k.T, zbar_k.T
     f_sq = zsq - gg
     valid = f_sq > SINGULARITY_TOL * n
     q = (u - gt) / np.where(valid, f_sq, np.nan)

@@ -82,7 +82,9 @@ class _Moments:
         delta = mean_b - self.mean
         if self.m2 is not None:
             d = cols - mean_b[:, None]
-            m2_b, w = d @ d.T, n_a * n_b / n
+            # numpy's own einsum calls no BLAS, so its bits do not depend on
+            # the BLAS kernel the CPU selects (a matmul's do)
+            m2_b, w = np.einsum("ij,kj->ik", d, d), n_a * n_b / n
             if self.m3 is not None:
                 d2 = d * d
                 m3_b, m4_b = (d2 * d).sum(axis=1), (d2 * d2).sum(axis=1)

@@ -451,14 +451,23 @@ def per_group_reference(ev, pop, codes=None, idx=None):
 
 
 def rowwise_group_sum_regression(t, g, u, ysq, zsq, counts, n):
-    """The group-sum kernel on (m, 3) sums, each group sum reduced with ``.sum(axis=1)``."""
-    ybar = t / counts
-    zbar = g / counts
-    f_sq = zsq - (g * g / counts).sum(axis=1)
+    """The group-sum kernel on (m, 3) sums, each sum over the groups written out.
+
+    Means multiply by ``1.0 / counts``; each of ``g*zbar``, ``g*ybar`` and
+    ``t*ybar`` is summed as ``0.0 + x0*y0 + x1*y1 + x2*y2``.
+    """
+
+    def over_groups(x, y):
+        return 0.0 + x[:, 0] * y[:, 0] + x[:, 1] * y[:, 1] + x[:, 2] * y[:, 2]
+
+    inv = 1.0 / counts
+    ybar = t * inv
+    zbar = g * inv
+    f_sq = zsq - over_groups(g, zbar)
     valid = f_sq > SINGULARITY_TOL * n
-    ef = u - (g * t / counts).sum(axis=1)
+    ef = u - over_groups(g, ybar)
     q = ef / np.where(valid, f_sq, np.nan)
-    e_sq = ysq - (t * t / counts).sum(axis=1)
+    e_sq = ysq - over_groups(t, ybar)
     if n > 4:
         sigma_sq = np.maximum(e_sq - q * q * f_sq, 0.0) / (n - 4)
     else:
@@ -501,16 +510,31 @@ def assert_same_kernel_output(t, g, u, ysq, zsq, counts, n):
 
 
 class TestGroupSumKernel:
-    """The column kernel gives the bits of the row-wise ``.sum(axis=1)`` kernel."""
+    """The column kernel gives the bits of the row-wise kernel with its sums written out."""
 
     def test_numpy_sums_three_from_a_zero_start(self):
-        # the kernel's ``0.0 + A + B + C`` rests on this reduction order
+        # the evaluator's ``0.0 + A + B + C`` sum of Y^2 rests on this order
         rows = np.array(list(itertools.product(SPECIAL_VALUES, repeat=3)))
         with np.errstate(all="ignore"):
             expected = rows.sum(axis=1)
             got = 0.0 + rows[:, 0] + rows[:, 1] + rows[:, 2]
         np.testing.assert_array_equal(got, expected)
         np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+
+    def test_einsum_sums_three_products_from_a_zero_start(self):
+        # the kernel's einsum contractions rest on this order: each product
+        # rounded on its own, then +0.0 + p0 + p1 + p2.  The random rows
+        # fail on a numpy build that fuses the multiply and the add.
+        rows = np.array(list(itertools.product(SPECIAL_VALUES, repeat=3))).T
+        rng = np.random.default_rng(45)
+        noise = rng.normal(size=(3, 10_000))
+        pairs = [(rows, rows), (rows, rows[::-1].copy()), (noise, noise * (1.0 / 3.0))]
+        for x, y in pairs:
+            with np.errstate(all="ignore"):
+                expected = 0.0 + x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+                got = np.einsum("km,km->m", x, y)
+            np.testing.assert_array_equal(got, expected)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
 
     def test_negative_zero_terms(self):
         # every g * t / counts term is -0.0: the row-wise sum is +0.0, so

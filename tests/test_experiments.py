@@ -3,11 +3,17 @@ import csv
 import dataclasses
 import functools
 import itertools
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 import tracemalloc
 import warnings
 from contextlib import closing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -659,6 +665,55 @@ class TestMomentsAccumulator:
         np.testing.assert_array_equal(first.mean, fourth.mean)
         np.testing.assert_array_equal(second.mean, fourth.mean)
         np.testing.assert_array_equal(second.m2, fourth.m2)
+
+
+    def test_merge_does_not_depend_on_blas_kernel(self, tmp_path):
+        # _Moments after 50 random 4,096-row batches, and the exact engine's
+        # itt_cov at 5,5,5, under the default OpenBLAS kernel and under the
+        # forced Prescott kernel: the co-moments must keep their bytes.
+        # At n = 15 the mask products agree across kernels too, and itt_cov
+        # reads no other BLAS result.
+        if platform.machine().lower() not in ("x86_64", "amd64"):
+            pytest.skip("OPENBLAS_CORETYPE names x86-64 kernels")
+        try:
+            blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        except (TypeError, KeyError):
+            pytest.skip("numpy does not report its BLAS build (numpy < 1.26)")
+        if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+            pytest.skip(f"numpy links {blas.get('name')!r}, not a DYNAMIC_ARCH OpenBLAS")
+        root = Path(__file__).resolve().parent.parent
+        script = textwrap.dedent(
+            """
+            import sys
+            import numpy as np
+            from workloads import generate_population
+            from triarm import GroupSizes, Population, exact_distribution, normalize_z
+            from triarm.experiments import _Moments
+            rng = np.random.default_rng(46)
+            acc = _Moments(3, order=4)
+            for _ in range(50):
+                acc.add(rng.normal(size=(4096, 3)) * [1.0, 3.0, 0.5] + [0.0, 2.0, -1.0])
+            pop, _ = normalize_z(Population(**generate_population(5, 15)))
+            itt_cov = exact_distribution(pop, GroupSizes(5, 5, 5)).itt_cov
+            np.savez(sys.argv[1], mean=acc.mean, m2=acc.m2, m3=acc.m3, m4=acc.m4, itt_cov=itt_cov)
+            """
+        )
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root / "perfbench")])
+        outputs = []
+        for coretype in (None, "Prescott"):
+            path = tmp_path / f"{coretype}.npz"
+            run_env = env if coretype is None else dict(env, OPENBLAS_CORETYPE=coretype)
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(path)], env=run_env, capture_output=True, text=True
+            )
+            assert proc.returncode == 0, proc.stderr
+            with np.load(path) as arrays:
+                outputs.append({key: arrays[key] for key in arrays.files})
+        default, prescott = outputs
+        for key, value in default.items():
+            differ = np.count_nonzero(value.view(np.int64) != prescott[key].view(np.int64))
+            assert differ == 0, f"{key}: {differ} elements differ between BLAS kernels"
 
 
 class TestPatternPopulations:
