@@ -22,10 +22,12 @@ tree's.  The list covers:
   ``--replicate`` and ``simulate`` on the raw covariate
   (``--normalize off``), all on a 12-subject population;
 * ``enumerate`` in both modes with ``--dump`` on an 18-subject
-  population at sizes 2,2,14 (18,360 and 9,180 rows): every other
-  ``enumerate`` here has n <= 15, where the unranking tables cover all
-  positions, and at n = 18 the per-position loop runs for the 2
-  positions between them;
+  population at sizes 2,2,14 (18,360 and 9,180 rows), a 20-subject one
+  at 2,2,16 (29,070 and 14,535 rows) and a 32-subject one at 1,1,30 (992
+  and 496 rows): every other ``enumerate`` here has n <= 15, where the
+  unranking tables cover all positions, and at n = 18, 20 and 32 the
+  per-position loop runs for the 2, 4 and 16 positions between them, in
+  one middle chunk or (n = 32) two;
 * ``analyze`` on a 5,000-subject population whose ``a`` spans 1e-30 to
   1e30 in magnitude, so the exact sums of its powers take many levels;
 * ``reproduce`` for every scenario;
@@ -154,11 +156,12 @@ def command_list(work: Path) -> list:
         argv = ["enumerate", str(small), "--sizes", "4,4,4", "--mode", mode, "--dump", str(dump)]
         commands.append((argv, dump))
     commands.append((["analyze", str(small), "--sizes", "12,12,12", "--replicate", "3"], None))
-    middle = work / "middle18.csv"
-    write_population(middle, generate_population(SEED, 18))
-    for mode in ("all", "a-before-b"):
-        argv = ["enumerate", str(middle), "--sizes", "2,2,14", "--mode", mode, "--dump", str(dump)]
-        commands.append((argv, dump))
+    for sizes, n in (("2,2,14", 18), ("2,2,16", 20), ("1,1,30", 32)):
+        middle = work / f"middle{n}.csv"
+        write_population(middle, generate_population(SEED, n))
+        for mode in ("all", "a-before-b"):
+            argv = ["enumerate", str(middle), "--sizes", sizes, "--mode", mode, "--dump", str(dump)]
+            commands.append((argv, dump))
     argv = ["simulate", str(small), "--sizes", "4,4,4", "--normalize", "off", "--reps", "3000"]
     commands.append((argv + ["--seed", "4"], None))
     wide = str(_write_csv(work / "wide5000.csv", wide_columns(SEED, 5000)))

@@ -12,10 +12,21 @@ sequences; the shifted ranks still ascend).  A batch reads its first
 ``head`` positions from a prefix table, one run of rows per prefix, runs
 the per-position unranking loop over the middle positions, and reads its
 last ``tail`` positions from a suffix table grouped by composition; head
-and tail are at most 8, so memory is one batch plus two tables of at
-most 3**8 rows each.  The order is the plain lexicographic one, no batch
-depends on the one before, and enumeration is refused once the number
-of label sequences times n reaches 2**63.
+and tail are at most 8.  The middle positions (n > 16) fall into chunks
+of at most 8, each read from the table of its width's label sequences
+by the base-3 key that the loop forms.  Memory is one batch plus tables
+of at most 3**8 rows each: the prefix, the suffix and one per chunk
+width.  The order is the plain lexicographic one, no batch depends on
+the one before, and enumeration is refused once the number of label
+sequences times n reaches 2**63.
+
+Each batch is a :class:`CodeBatch`: the label codes plus, for every row,
+its prefix run, its suffix row and its row in each middle chunk's
+table.  The exact engine's evaluator
+(``estimators.BatchEvaluator.evaluate_codes``) sums Y, zY, Y^2 and z per
+group over every table row once per enumeration, and adds a batch's
+rows' sums into one contiguous (4, 3, m) block, quantity by group by
+row, with no mask and no matrix product.
 
 Randomness contract: ``worker_generator(seed, stream)`` is built on
 numpy's Philox bit generator (counter-based, splittable).  It produces
@@ -162,6 +173,24 @@ _TABLE_POSITIONS = 8
 _BATCH_ROWS = 4096
 
 
+class _MiddleChunk:
+    """Consecutive middle positions ``start`` onwards, at most ``_TABLE_POSITIONS``.
+
+    ``sequences`` holds every label sequence of the chunk's width whose
+    counts fit the group sizes, in lexicographic order, and
+    ``lookup[key]`` is the row of the sequence whose base-3 code, first
+    position most significant, is ``key``.  Chunks of one width share
+    both arrays.
+    """
+
+    # plain classes here and in CodeBatch: a NamedTuple costs about 0.2 ms
+    # of start-up, a frozen dataclass about 1 ms
+    __slots__ = ("start", "sequences", "lookup")
+
+    def __init__(self, start: int, sequences, lookup):
+        self.start, self.sequences, self.lookup = start, sequences, lookup
+
+
 class _UnrankTables(NamedTuple):
     """A design's label sequences of its first and last few positions.
 
@@ -176,7 +205,8 @@ class _UnrankTables(NamedTuple):
     prefix.  ``suffixes`` holds every sequence of the last ``tail``
     positions, grouped by its A and B counts (k_A, k_B) with each group
     still lexicographic; group (k_A, k_B) starts at row
-    ``offsets[k_A * (tail + 1) + k_B]``.
+    ``offsets[k_A * (tail + 1) + k_B]``.  ``chunks`` splits the positions
+    in between, if any, into :class:`_MiddleChunk` tables.
     """
 
     prefixes: np.ndarray
@@ -187,6 +217,28 @@ class _UnrankTables(NamedTuple):
     rest_b: np.ndarray
     suffixes: np.ndarray
     offsets: np.ndarray
+    chunks: tuple
+
+
+class CodeBatch:
+    """One enumerated batch: label codes and the table rows they came from.
+
+    ``codes`` is the (m, n) int8 array of label codes.  The first ``head``
+    positions of the rows are the prefix rows ``tables.prefixes[runs]``,
+    each repeated over ``lengths`` consecutive rows; the last ``tail``
+    positions of row i are ``tables.suffixes[rows[i]]``; and the
+    positions of middle chunk j are ``tables.chunks[j].sequences[keys[j][i]]``.
+    ``len()`` is the row count.
+    """
+
+    __slots__ = ("codes", "tables", "runs", "lengths", "rows", "keys")
+
+    def __init__(self, codes, tables: _UnrankTables, runs: slice, lengths, rows, keys: tuple):
+        self.codes, self.tables, self.runs = codes, tables, runs
+        self.lengths, self.rows, self.keys = lengths, rows, keys
+
+    def __len__(self) -> int:
+        return len(self.codes)
 
 
 def _label_sequences(width: int, sizes: GroupSizes):
@@ -222,6 +274,15 @@ def _unrank_tables(sizes: GroupSizes) -> _UnrankTables:
     suffixes, s_a, s_b = _label_sequences(tail, sizes)
     group = s_a * (tail + 1) + s_b
     order = np.argsort(group, kind="stable")
+    by_width, chunks = {}, []
+    for start in range(head, n - tail, _TABLE_POSITIONS):
+        width = min(_TABLE_POSITIONS, n - tail - start)
+        if width not in by_width:
+            sequences = _label_sequences(width, sizes)[0]
+            lookup = np.zeros(3**width, dtype=np.intp)
+            lookup[np.ravel_multi_index(tuple(sequences.T), (3,) * width)] = np.arange(len(sequences))
+            by_width[width] = sequences, lookup
+        chunks.append(_MiddleChunk(start, *by_width[width]))
     return _UnrankTables(
         prefixes=padded[:, :head],
         padded=padded,
@@ -231,11 +292,12 @@ def _unrank_tables(sizes: GroupSizes) -> _UnrankTables:
         rest_b=rest_b,
         suffixes=suffixes[order],
         offsets=np.searchsorted(group[order], np.arange((tail + 1) ** 2)),
+        chunks=tuple(chunks),
     )
 
 
-def _unrank(sizes: GroupSizes, tables: _UnrankTables, rank: np.ndarray) -> np.ndarray:
-    """Label codes of the lexicographic int64 ranks in ``rank``, one row each.
+def _unrank(sizes: GroupSizes, tables: _UnrankTables, rank: np.ndarray) -> CodeBatch:
+    """The :class:`CodeBatch` of the lexicographic int64 ranks in ``rank``.
 
     Unranking of multiset permutations (Knuth, TAOCP 4A, 7.2.1.2).
     ``rank`` must be non-empty and in ascending order, as
@@ -249,10 +311,12 @@ def _unrank(sizes: GroupSizes, tables: _UnrankTables, rank: np.ndarray) -> np.nd
     row at once: of the ``left`` completions, ``left * n_A / m`` put A
     next and ``left * n_B / m`` put B next, where ``n_A``, ``n_B`` are
     the labels still to place and ``m`` the positions still open.  The
-    last ``tail`` positions are row ``rank`` of the suffix group with
-    the remaining A and B counts; with no middle positions that group is
-    the prefix's own, so a row's suffix row is its rank plus one shift
-    per prefix.
+    codes a middle chunk picks add up to its base-3 key, which the
+    chunk's lookup turns into a row of its table, and that row is copied
+    in.  The last ``tail`` positions are row ``rank`` of the suffix group
+    with the remaining A and B counts; with no middle positions that
+    group is the prefix's own, so a row's suffix row is its rank plus one
+    shift per prefix.
     """
     n, rows = sizes.n, len(rank)
     head, tail = tables.prefixes.shape[1], tables.suffixes.shape[1]
@@ -266,6 +330,7 @@ def _unrank(sizes: GroupSizes, tables: _UnrankTables, rank: np.ndarray) -> np.nd
     width = tables.padded.shape[1]
     void = f"V{width}"
     codes[:, :width].view(void)[:, 0] = tables.padded.view(void)[runs, 0].repeat(lengths)
+    keys = []
     if head + tail == n:
         group = tables.rest_a[runs] * (tail + 1) + tables.rest_b[runs]
         row = rank + (tables.offsets[group] - starts).repeat(lengths)
@@ -274,22 +339,29 @@ def _unrank(sizes: GroupSizes, tables: _UnrankTables, rank: np.ndarray) -> np.nd
         left = tables.completions[runs].repeat(lengths)
         n_a = tables.rest_a[runs].repeat(lengths)
         n_b = tables.rest_b[runs].repeat(lengths)
-        for pos in range(head, n - tail):
-            m = n - pos
-            with_a = left * n_a // m
-            with_b = left * n_b // m
-            with_ab = with_a + with_b
-            past_a = rank >= with_a
-            past_b = rank >= with_ab
-            codes[:, pos] = past_a
-            codes[:, pos] += past_b
-            rank -= np.where(past_b, with_ab, np.where(past_a, with_a, 0))
-            left = np.where(past_b, left - with_ab, np.where(past_a, with_b, with_a))
-            n_a -= ~past_a
-            n_b -= past_a & ~past_b
+        for chunk in tables.chunks:
+            stop = chunk.start + chunk.sequences.shape[1]
+            # at most 3**8 - 1; int16 arithmetic is 3x faster than int64 here
+            key = np.zeros(rows, dtype=np.int16)
+            for pos in range(chunk.start, stop):
+                m = n - pos
+                with_a = left * n_a // m
+                with_b = left * n_b // m
+                with_ab = with_a + with_b
+                past_a = rank >= with_a
+                past_b = rank >= with_ab
+                key *= 3
+                key += past_a
+                key += past_b
+                rank -= np.where(past_b, with_ab, np.where(past_a, with_a, 0))
+                left = np.where(past_b, left - with_ab, np.where(past_a, with_b, with_a))
+                n_a -= ~past_a
+                n_b -= past_a & ~past_b
+            keys.append(chunk.lookup.take(key))
+            _gather_rows(chunk.sequences, keys[-1], codes[:, chunk.start : stop])
         row = tables.offsets[n_a * (tail + 1) + n_b] + rank
     _gather_rows(tables.suffixes, row, codes[:, n - tail :])
-    return codes
+    return CodeBatch(codes, tables, runs, lengths, row, tuple(keys))
 
 
 def _gather_rows(table: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
@@ -320,16 +392,18 @@ def iter_code_batches(
     sizes: GroupSizes,
     mode: str = "all",
     limit: int = DEFAULT_ENUMERATION_LIMIT,
-) -> Iterator[np.ndarray]:
-    """Yield enumerated assignments as (batch, n) int8 arrays.
+) -> Iterator[CodeBatch]:
+    """Yield enumerated assignments as :class:`CodeBatch` objects.
 
+    Each batch's ``codes`` is a (batch, n) int8 array of label codes.
     Lexicographic over label sequences with A < B < C; every batch but
     the last holds ``_BATCH_ROWS`` rows and is unranked from its own rank
-    range, in ascending order as :func:`_unrank` requires.  The prefix
-    and suffix tables (:func:`_unrank_tables`) are built once per call,
-    on the first ``next()``, after both guards below; every batch reads
-    its first and last positions from them, each prefix over one run of
-    consecutive rows, and unranks only the positions in between.  Mode
+    range, in ascending order as :func:`_unrank` requires.  The prefix,
+    suffix and middle-chunk tables (:func:`_unrank_tables`) are built once
+    per call, on the first ``next()``, after both guards below; every
+    batch reads its first and last positions from them, each prefix over
+    one run of consecutive rows, and unranks only the positions in
+    between.  Mode
     ``a-before-b`` (defined only for n_A == n_B) keeps the assignments
     whose first A-labeled subject precedes the first B-labeled one,
     exactly half (swapping A and B pairs each kept assignment with a
@@ -364,7 +438,7 @@ def enumerate_assignments(
 ) -> Iterator[Assignment]:
     """Stream every distinct assignment exactly once."""
     for batch in iter_code_batches(sizes, mode, limit):
-        for row in batch:
+        for row in batch.codes:
             yield Assignment(row)
 
 

@@ -15,12 +15,21 @@ independent computation routes are provided and cross-checked in tests:
   it over many assignments for the engines, and
   :func:`mr_via_normal_equations` is its one-row call; both get the
   nominal covariance from :func:`nominal_covariance`.  Group sums travel
-  as (3, m) arrays, a row per group.  The kernel divides by the counts
-  through their reciprocals, ``t * (1.0 / counts)``, and contracts each
-  sum over the groups with ``np.einsum("km,km->m", x, y)``, which gives
-  the bits of ``0.0 + x[0]*y[0] + x[1]*y[1] + x[2]*y[2]``: every product
-  rounded on its own, added in group order from a +0.0 start, so three
-  -0.0 terms sum to +0.0.  ``TestGroupSumKernel`` pins that order,
+  as (3, m) arrays, a row per group.  The engines hand them over as one
+  C-contiguous (4, 3, m) block, ``sums[q, k]`` being quantity q (Y, zY,
+  Y^2, z) summed over group k, to :meth:`BatchEvaluator.evaluate_sums`.
+  The exact engine builds the block from per-row sums of its unranking
+  tables (:meth:`BatchEvaluator.evaluate_codes`), the Monte Carlo engine
+  by gathers (:meth:`BatchEvaluator.evaluate_index`); neither calls
+  BLAS, so ``z_sum_sq`` is the one BLAS result on the bit path.  The
+  kernel divides by the counts through their reciprocals, ``t * (1.0 /
+  counts)``, and contracts each sum over the groups with
+  ``np.einsum("km,km->m", x, y)``, which gives the bits of ``0.0 +
+  x[0]*y[0] + x[1]*y[1] + x[2]*y[2]``: every product rounded on its own,
+  added in group order from a +0.0 start, so three -0.0 terms sum to
+  +0.0.  A single column, which ``einsum`` may reduce with fused
+  multiply-adds, is summed written out (:func:`_over_groups`).
+  ``TestGroupSumKernel`` pins that order,
   ``test_einsum_sums_three_products_from_a_zero_start`` included, and
   fails on a numpy build that fuses the multiply and the add.  The (m, 3)
   results may be column-major views; never assume C order.
@@ -116,6 +125,19 @@ def _xtx_inverse(counts: np.ndarray, zbar: np.ndarray, f_sq: np.ndarray) -> np.n
     return inv
 
 
+def _over_groups(x, y):
+    """``0.0 + x[0]*y[0] + x[1]*y[1] + x[2]*y[2]`` for (3, m) ``x`` and ``y``.
+
+    ``einsum`` gives these bits while it loops over the m columns
+    innermost.  With one contiguous column it reduces the three groups in
+    one loop that may fuse the multiplies and adds, so that case is
+    written out.
+    """
+    if x.shape[1] == 1:
+        return 0.0 + x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+    return np.einsum("km,km->m", x, y)
+
+
 def _group_sum_regression(t, g, u, ysq, zsq, counts, n) -> dict:
     """Both estimators for m assignments from their raw group sums.
 
@@ -132,9 +154,9 @@ def _group_sum_regression(t, g, u, ysq, zsq, counts, n) -> dict:
     zbar_k = g * inv[:, None]
     # each sum over the groups: +0.0, then the three rounded products
     # added in group order (TestGroupSumKernel pins it)
-    gg = np.einsum("km,km->m", g, zbar_k)
-    gt = np.einsum("km,km->m", g, ybar_k)
-    tt = np.einsum("km,km->m", t, ybar_k)
+    gg = _over_groups(g, zbar_k)
+    gt = _over_groups(g, ybar_k)
+    tt = _over_groups(t, ybar_k)
     ybar, zbar = ybar_k.T, zbar_k.T
     f_sq = zsq - gg
     valid = f_sq > SINGULARITY_TOL * n
@@ -232,15 +254,20 @@ def mr_via_normal_equations(z, Y, asg: Assignment) -> MREstimate:
 class BatchEvaluator:
     """Vectorized evaluation of both estimators over many assignments.
 
-    Precomputes the per-population products once; each call then needs
-    only group sums, either from label codes (enumeration) or from an
-    index matrix whose leading columns are the A then B then C members
-    (sampling).  Rows whose design is singular come back with ``valid``
-    False and NaN estimates; callers decide whether to drop or redraw.
-    Both entry points fill one (3, m, 4) block of per-group sums of Y, zY,
-    Y^2 and z, and return the kernel's keys plus ``az_a``, group A's mean of
-    ``a * z``; the (m, 3) results may be column-major views, never assume C
-    order.  The nominal covariance comes from :func:`nominal_covariance`.
+    Precomputes the per-population operands once: ``operands[q, k]`` holds,
+    for every subject, quantity q of group k, with the quantities Y, zY,
+    Y^2 and z in that order (Y being a, b or c for groups A, B, C).
+    :meth:`evaluate_sums` is the one kernel entry point: it takes a (4, 3,
+    m) block of per-group sums of those quantities over m assignments,
+    ``sums[q, k]`` a contiguous row of m.  Two producers build that block:
+    :meth:`evaluate_codes` from an enumerated batch's unranking-table rows,
+    and :meth:`evaluate_index` from an index matrix whose leading columns
+    are the A then B then C members (sampling).  Rows whose design is
+    singular come back with ``valid`` False and NaN estimates; callers
+    decide whether to drop or redraw.  Results are the kernel's keys plus
+    ``az_a``, group A's mean of ``a * z``; the (m, 3) results may be
+    column-major views, never assume C order.  The nominal covariance comes
+    from :func:`nominal_covariance`.
     """
 
     def __init__(self, pop, sizes: GroupSizes):
@@ -251,48 +278,72 @@ class BatchEvaluator:
         self.n = pop.n
         self.sizes = sizes
         self.counts = sizes.counts().astype(float)
-        self.z = pop.z
-        self.responses = (pop.a, pop.b, pop.c)
-        self.products = (pop.a * pop.z, pop.b * pop.z, pop.c * pop.z)
+        responses = np.stack([pop.a, pop.b, pop.c])
         # n * sum(x^2) bounds every t^2 and g * t the kernel forms, so a
         # finite bound for each variable keeps the kernel in range
         with np.errstate(over="ignore"):
-            self.squares = (pop.a * pop.a, pop.b * pop.b, pop.c * pop.c)
-            for name, sq in zip("abcz", self.squares + (pop.z * pop.z,)):
+            squares = responses * responses
+            for name, sq in zip("abcz", (*squares, pop.z * pop.z)):
                 if not math.isfinite(self.n * float(sq.sum())):
                     raise ValueError(
                         f"n times the sum of squares of {name} is not finite: "
                         "the population's values are too large"
                     )
-        # each group's (n, 4) operand: Y, zY, Y^2 and z, summed by both entry points
-        self.group_columns = tuple(
-            np.column_stack([self.responses[k], self.products[k], self.squares[k], self.z])
-            for k in range(3)
-        )
+        self.operands = np.stack([responses, responses * pop.z, squares, np.stack([pop.z] * 3)])
         # a BLAS dot, not a population sum (population._exact_sum, which has
         # math.fsum's bits): it fixes the kernel's output bits
         self.z_sum_sq = float(pop.z @ pop.z)
+        # the unranking tables last seen by evaluate_codes and their sums
+        self._tables = self._table_sums = None
 
-    def _from_group_sums(self, t, g, zy, ysq):
-        # (3, m) per-group sums, or three (m,) columns each; added A, B, C
+    def evaluate_sums(self, sums: np.ndarray):
+        """Both estimators from a (4, 3, m) block of per-group sums.
+
+        ``sums[q, k]`` is quantity q (Y, zY, Y^2, z) summed over group k's
+        members, one entry per assignment.  The groups' zY and Y^2 sums
+        are added A, B, C, the latter from a +0.0 start.
+        """
+        t, zy, ysq, g = sums
         u = zy[0] + zy[1] + zy[2]
         y_sq = 0.0 + ysq[0] + ysq[1] + ysq[2]
         out = _group_sum_regression(t, g, u, y_sq, self.z_sum_sq, self.counts, self.n)
         out["az_a"] = zy[0] / self.counts[0]
         return out
 
-    def evaluate_codes(self, codes: np.ndarray):
-        codes = np.asarray(codes)
-        sums = np.empty((3, len(codes), 4))
-        mask = np.empty(codes.shape)  # one 0.0/1.0 mask, refilled per group
-        for k in range(3):
-            np.equal(codes, k, out=mask, casting="unsafe")
-            np.matmul(mask, self.group_columns[k], out=sums[k])
-        # freed before the kernel allocates: held to the end of the call,
-        # it slowed these batches by about a third through page faults
-        del mask
-        t, zy, ysq, g = np.moveaxis(sums, 2, 0)
-        return self._from_group_sums(t, g, zy, ysq)
+    def _position_sums(self, sequences: np.ndarray, start: int) -> np.ndarray:
+        """(12, rows) per-group sums of the operands over a table's positions.
+
+        Row r of ``sequences`` labels positions ``start`` onwards; each sum
+        starts at +0.0 and adds its group's members in position order.
+        """
+        sums = np.zeros((4, 3, len(sequences)))
+        groups = np.arange(3)[:, None]
+        for pos, labels in enumerate(sequences.T, start):
+            np.add(sums, self.operands[:, :, pos, None], out=sums, where=labels == groups)
+        return sums.reshape(12, -1)
+
+    def evaluate_codes(self, batch):
+        """Both estimators for one enumerated batch (``assignment.CodeBatch``).
+
+        The first batch of an enumeration sums the operands over every row
+        of its unranking tables (:meth:`_position_sums`); every batch then
+        adds its rows' table sums as ``((suffix + prefix) + chunk_1) +
+        chunk_2 ...``, straight into the (4, 3, m) block.
+        """
+        if self._tables is not batch.tables:
+            tables = batch.tables
+            self._table_sums = (
+                self._position_sums(tables.suffixes, self.n - tables.suffixes.shape[1]),
+                self._position_sums(tables.prefixes, 0),
+                [self._position_sums(c.sequences, c.start) for c in tables.chunks],
+            )
+            self._tables = tables
+        suffix, prefix, chunks = self._table_sums
+        sums = suffix.take(batch.rows, axis=1)
+        sums += prefix[:, batch.runs].repeat(batch.lengths, axis=1)
+        for table, key in zip(chunks, batch.keys):
+            sums += table.take(key, axis=1)
+        return self.evaluate_sums(sums.reshape(4, 3, -1))
 
     def evaluate_index(self, idx: np.ndarray):
         """Both estimators for the rows of an index matrix.
@@ -305,9 +356,9 @@ class BatchEvaluator:
         """
         n_a, n_b, _ = self.sizes.counts()
         bounds = (0, n_a, n_a + n_b, self.n)
-        sums = np.empty((3, len(idx), 4))
+        sums = np.empty((4, 3, len(idx)))
         for k in range(3):
             block = np.ascontiguousarray(idx[:, bounds[k] : bounds[k + 1]])
-            np.stack([x.take(block).sum(axis=1) for x in self.group_columns[k].T], axis=1, out=sums[k])
-        t, zy, ysq, g = np.moveaxis(sums, 2, 0)
-        return self._from_group_sums(t, g, zy, ysq)
+            for q in range(4):
+                self.operands[q, k].take(block).sum(axis=1, out=sums[q, k])
+        return self.evaluate_sums(sums)

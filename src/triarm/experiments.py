@@ -280,15 +280,15 @@ def exact_distribution(
 
     itt, mr, q_hat = _Moments(3), _Moments(3), _Moments(1, order=1)
     with _open_dump(dump_path, "assignment") as dump:
-        for codes in iter_code_batches(sizes, mode, limit):
-            res = evaluator.evaluate_codes(codes)
+        for batch in iter_code_batches(sizes, mode, limit):
+            res = evaluator.evaluate_codes(batch)
             # a boolean mask copies the batch even when it keeps every row
             keep = slice(None) if res["valid"].all() else res["valid"]
             itt.add(res["itt"][keep] - truth)
             mr.add(res["mr"][keep] - truth)
             q_hat.add(res["q_hat"][keep, None])
             if dump is not None:
-                _dump_rows(dump, _labels(codes), res)
+                _dump_rows(dump, _labels(batch.codes), res)
         if itt.count == 0:
             raise SingularDesignError("all assignments are singular")
     return ExactSummary(
@@ -319,8 +319,8 @@ def contrast_symmetry_deviation(pop: Population, sizes: GroupSizes, pair=("A", "
     s, t = _pair_codes(pair)
     evaluator = BatchEvaluator(pop, sizes)
     parts = []
-    for codes in iter_code_batches(sizes):
-        res = evaluator.evaluate_codes(codes)
+    for batch in iter_code_batches(sizes):
+        res = evaluator.evaluate_codes(batch)
         valid = res["valid"]
         parts.append(res["mr"][valid, t] - res["mr"][valid, s])
     values = np.concatenate(parts)

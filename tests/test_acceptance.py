@@ -74,7 +74,7 @@ def test_criterion_01_exact_group_mean_moments():
             cols = np.stack([pop.a, pop.b, pop.c, pop.z], axis=1)
             cov_pop = ms.covariance
             for sizes in all_size_triples(n):
-                codes = np.concatenate(list(iter_code_batches(sizes)))
+                codes = np.concatenate([batch.codes for batch in iter_code_batches(sizes)])
                 counts = sizes.counts()
                 series = np.concatenate(
                     [(codes == k).astype(float) @ cols / counts[k] for k in range(3)],

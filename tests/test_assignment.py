@@ -213,14 +213,14 @@ class TestEnumeration:
         monkeypatch.setattr(triarm.assignment, "_BATCH_ROWS", batch_size)
         for sizes, mode in _small_cases(max_n):
             expected = list(reference_code_batches(sizes, mode, batch_size))
-            got = list(iter_code_batches(sizes, mode))
+            got = [batch.codes for batch in iter_code_batches(sizes, mode)]
             assert [b.shape for b in got] == [b.shape for b in expected], (sizes, mode)
             for g, e in zip(got, expected):
                 assert g.dtype == np.int8
                 np.testing.assert_array_equal(g, e)
 
-    # n = 16, 17 and 24: the middle loop between the two 8-position
-    # tables runs for 0, 1 and 8 positions
+    # n = 16, 17, 24 and 34: the middle loop between the two 8-position
+    # tables runs for 0, 1, 8 and 18 positions (middle chunks of 8, 8 and 2)
     @pytest.mark.parametrize(
         "sizes, mode",
         [
@@ -230,6 +230,8 @@ class TestEnumeration:
             ((6, 6, 5), "a-before-b"),
             ((8, 8, 8), "all"),
             ((8, 8, 8), "a-before-b"),
+            ((2, 2, 30), "all"),
+            ((2, 2, 30), "a-before-b"),
         ],
     )
     def test_tables_at_their_cap_match_reference_unrank(self, sizes, mode):
@@ -239,7 +241,7 @@ class TestEnumeration:
         assert tables.prefixes.shape[1] == tables.suffixes.shape[1] == 8
         rank = _boundary_ranks(sizes, mode, tables)
         given = rank.copy()
-        got = _unrank(sizes, tables, rank)
+        got = _unrank(sizes, tables, rank).codes
         np.testing.assert_array_equal(rank, given)
         np.testing.assert_array_equal(got, reference_unrank(sizes, total, rank))
         if mode == "a-before-b":
@@ -262,12 +264,35 @@ class TestEnumeration:
             hi = lo + next(widths)
             piece = rank[lo:hi]
             given = piece.copy()
-            np.testing.assert_array_equal(_unrank(sizes, tables, piece), expected[lo:hi])
+            np.testing.assert_array_equal(_unrank(sizes, tables, piece).codes, expected[lo:hi])
             np.testing.assert_array_equal(piece, given)
             opening += np.isin(piece[0], tables.starts)
             closing += np.isin(piece[-1] + 1, tables.starts)
             lo = hi
         assert opening > 0 and closing > 0
+
+    # n = 15, 17, 34 and 32: no middle positions, one, chunks of 8, 8 and
+    # 2, and chunks of 8, 8; 97-row batches cut prefix runs
+    @pytest.mark.parametrize(
+        "sizes, mode",
+        [((5, 5, 5), "all"), ((6, 6, 5), "a-before-b"), ((2, 2, 30), "all"), ((1, 1, 30), "a-before-b")],
+    )
+    def test_batch_table_rows_rebuild_its_codes(self, monkeypatch, sizes, mode):
+        monkeypatch.setattr(triarm.assignment, "_BATCH_ROWS", 97)
+        sizes = GroupSizes(*sizes)
+        n = sizes.n
+        for batch in itertools.islice(iter_code_batches(sizes, mode, limit=10**8), 100):
+            tables = batch.tables
+            head, tail = tables.prefixes.shape[1], tables.suffixes.shape[1]
+            assert len(batch) == len(batch.codes)
+            prefixes = tables.prefixes[batch.runs].repeat(batch.lengths, axis=0)
+            np.testing.assert_array_equal(prefixes, batch.codes[:, :head])
+            np.testing.assert_array_equal(tables.suffixes[batch.rows], batch.codes[:, n - tail :])
+            starts = [chunk.start for chunk in tables.chunks]
+            assert starts == list(range(head, n - tail, 8)) and len(batch.keys) == len(starts)
+            for chunk, key in zip(tables.chunks, batch.keys):
+                stop = min(chunk.start + 8, n - tail)
+                np.testing.assert_array_equal(chunk.sequences[key], batch.codes[:, chunk.start : stop])
 
     @pytest.mark.parametrize("limit", [10**40, 10**60])
     def test_int64_rank_ceiling_guard(self, limit, monkeypatch):
@@ -293,11 +318,11 @@ class TestEnumeration:
         # mirror, read backwards.
         sizes = GroupSizes(12, 14, 14)
         total = assignment_count(sizes)
-        first = next(iter_code_batches(sizes, limit=total))
+        first = next(iter_code_batches(sizes, limit=total)).codes
         np.testing.assert_array_equal(first, next(reference_code_batches(sizes, "all", 4096)))
         tables = _unrank_tables(sizes)
         assert len(tables.prefixes) <= 3**8 and len(tables.suffixes) <= 3**8
-        last = _unrank(sizes, tables, np.arange(total - 50, total, dtype=np.int64))
+        last = _unrank(sizes, tables, np.arange(total - 50, total, dtype=np.int64)).codes
         mirror = next(reference_code_batches(GroupSizes(14, 14, 12), "all", 50))
         np.testing.assert_array_equal(last, 2 - mirror[::-1])
         with pytest.raises(EnumerationLimitError, match="int64"):
@@ -308,13 +333,13 @@ class TestEnumeration:
         # kept ranks map to full ranks up to the last kept sequence
         sizes = GroupSizes(14, 14, 12)
         total, count = assignment_count(sizes), assignment_count(sizes, "a-before-b")
-        first = next(iter_code_batches(sizes, "a-before-b", limit=count))
+        first = next(iter_code_batches(sizes, "a-before-b", limit=count)).codes
         np.testing.assert_array_equal(first, next(reference_code_batches(sizes, "a-before-b", 4096)))
         # the last kept sequence closes block C^12 A, just before the
         # comb(27, 14) sequences C^12 B ... that end the full order
         last_rank = count - 1 + _a_before_b_starts(sizes)[-1]
         assert last_rank == total - math.comb(27, 14) - 1
-        last = _unrank(sizes, _unrank_tables(sizes), np.array([last_rank], dtype=np.int64))
+        last = _unrank(sizes, _unrank_tables(sizes), np.array([last_rank], dtype=np.int64)).codes
         assert Assignment(last[0]).label_string == "C" * 12 + "A" + "B" * 14 + "A" * 13
         for row in (*first, *last):
             assert row[row != 2][0] == 0

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import triarm.assignment
 from triarm import (
     Assignment,
     BatchEvaluator,
@@ -28,6 +29,7 @@ from triarm import (
     normalize_z,
     observed_response,
 )
+from triarm.assignment import _TABLE_POSITIONS, iter_code_batches
 from triarm.estimators import SINGULARITY_TOL, _group_sum_regression, nominal_covariance
 
 TABLE_ASG = Assignment.from_labels("ABCCCC")
@@ -239,9 +241,9 @@ class TestNominalCovariance:
         pop, _ = normalize_z(
             Population([1.0] * 6, [2.0] * 6, [3.0] * 6, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
         )
-        codes = np.array([a.codes for a in enumerate_assignments(GroupSizes(2, 2, 2))])
+        [batch] = iter_code_batches(GroupSizes(2, 2, 2))
         ev = BatchEvaluator(pop, GroupSizes(2, 2, 2))
-        out = ev.evaluate_codes(codes)
+        out = ev.evaluate_codes(batch)
         nominal_cov = nominal_covariance(out, ev.counts)
         assert np.all(out["sigma_hat_sq"] >= 0.0)
         assert np.all(nominal_cov[:, np.arange(4), np.arange(4)] >= 0.0)
@@ -302,7 +304,7 @@ class TestBatchEvaluator:
         base = np.repeat([0, 1, 2], [2, 3, 4]).astype(np.int8)
         codes = np.array([base[rng.permutation(9)] for _ in range(50)])
         ev = BatchEvaluator(pop, sizes)
-        out = ev.evaluate_codes(codes)
+        out = ev.evaluate_sums(mask_sums(pop, codes))
         nominal_cov = nominal_covariance(out, ev.counts)
         for i in range(codes.shape[0]):
             asg = Assignment(codes[i])
@@ -344,16 +346,18 @@ class TestBatchEvaluator:
             codes[r, idx[r, :2]] = 0
             codes[r, idx[r, 2:5]] = 1
             codes[r, idx[r, 5:]] = 2
-        by_codes = ev.evaluate_codes(codes)
+        by_codes = ev.evaluate_sums(mask_sums(pop, codes))
         assert by_index.keys() == by_codes.keys()
         for key in by_index:
             np.testing.assert_allclose(by_index[key], by_codes[key], atol=1e-12, err_msg=key)
 
-    def test_bits_match_per_group_reference(self):
+    def test_bits_match_per_group_reference(self, monkeypatch):
         # Random populations at n = 6..15, then one whose arm A responses
-        # are all -0.0: numpy's sums and the BLAS products start from +0.0,
+        # are all -0.0: numpy's sums and the table sums start from +0.0,
         # so its group sums come out as +0.0 and its g*t terms as -0.0
         # wherever g < 0; the evaluator must keep exactly those signs.
+        # 97-row batches cut prefix runs.
+        monkeypatch.setattr(triarm.assignment, "_BATCH_ROWS", 97)
         rng = np.random.default_rng(44)
         cases = []
         for n in range(6, 16):
@@ -363,24 +367,49 @@ class TestBatchEvaluator:
         cases.append((zeros, GroupSizes(1, 1, 4)))
         for pop, sizes in cases:
             ev = BatchEvaluator(pop, sizes)
-            base = np.repeat(np.arange(3, dtype=np.int8), sizes.counts())
-            codes = np.array([base[rng.permutation(pop.n)] for _ in range(60)])
             idx = np.array([rng.permutation(pop.n) for _ in range(60)])
-            for got, want in (
-                (ev.evaluate_codes(codes), per_group_reference(ev, pop, codes=codes)),
-                (ev.evaluate_index(idx), per_group_reference(ev, pop, idx=idx)),
-            ):
-                assert got.keys() == want.keys()
-                for key, value in want.items():
-                    assert np.array_equal(got[key], value, equal_nan=True), key
-                    np.testing.assert_array_equal(np.signbit(got[key]), np.signbit(value), key)
+            checks = [(ev.evaluate_index(idx), per_group_reference(ev, pop, idx=idx))]
+            for batch in itertools.islice(iter_code_batches(sizes), 3):
+                checks.append((ev.evaluate_codes(batch), per_group_reference(ev, pop, codes=batch.codes)))
+            for got, want in checks:
+                assert_same_output(got, want)
 
-    def test_mask_products_do_not_depend_on_blas_kernel(self, tmp_path):
-        # Evaluates 20 batches of enumerate-15's seed-5 population under the
-        # default OpenBLAS kernel and under the forced Prescott kernel.  The
-        # mask products, and every output computed from them alone, must
-        # keep their bytes.  mr and q_hat also read z_sum_sq, a BLAS dot
-        # whose bits do depend on the kernel today, so they are not compared.
+    # 5,5,5 and 2,3,10 have no middle positions, 2,2,14 has 2 and 2,2,16
+    # has 4, one chunk; 97-row and 1-row batches cut prefix runs
+    @pytest.mark.parametrize("batch_rows, batches", [(4096, 8), (97, 60), (1, 300)])
+    @pytest.mark.parametrize(
+        "sizes, mode",
+        [
+            ("5,5,5", "all"),
+            ("5,5,5", "a-before-b"),
+            ("2,3,10", "all"),
+            ("2,2,14", "all"),
+            ("2,2,14", "a-before-b"),
+            ("2,2,16", "all"),
+            ("2,2,16", "a-before-b"),
+        ],
+    )
+    def test_enumerated_bits_match_per_group_reference(self, monkeypatch, sizes, mode, batch_rows, batches):
+        monkeypatch.setattr(triarm.assignment, "_BATCH_ROWS", batch_rows)
+        sizes = GroupSizes(*map(int, sizes.split(",")))
+        pop = Population(*np.random.default_rng(sizes.n).uniform(-5, 5, size=(4, sizes.n)))
+        ev = BatchEvaluator(pop, sizes)
+        # every batch of the smaller designs; the first ones of the rest
+        for batch in itertools.islice(iter_code_batches(sizes, mode), batches):
+            want = per_group_reference(ev, pop, codes=batch.codes)
+            assert_same_output(ev.evaluate_codes(batch), want)
+            # the reference sums are group sums: the mask products agree to roundoff
+            np.testing.assert_allclose(
+                table_order_sums(pop, batch.codes), mask_sums(pop, batch.codes), rtol=1e-13, atol=1e-13
+            )
+
+    def test_exact_engine_does_not_depend_on_blas_kernel(self, tmp_path):
+        # Evaluates every enumerated batch at 5,5,5 (n = 15), 2,2,14 (n = 18)
+        # and 2,2,16 (n = 20) under the default OpenBLAS kernel and under the
+        # forced Prescott kernel.  The group sums, and every output computed
+        # from them alone, must keep their bytes.  mr and q_hat also read
+        # z_sum_sq, a BLAS dot whose bits do depend on the kernel today, so
+        # they are not compared.
         if platform.machine().lower() not in ("x86_64", "amd64"):
             pytest.skip("OPENBLAS_CORETYPE names x86-64 kernels")
         try:
@@ -399,12 +428,16 @@ class TestBatchEvaluator:
             from workloads import generate_population
             from triarm import BatchEvaluator, GroupSizes, Population, normalize_z
             from triarm.assignment import iter_code_batches
-            pop, _ = normalize_z(Population(**generate_population(5, 15)))
-            ev = BatchEvaluator(pop, GroupSizes(5, 5, 5))
-            batches = iter_code_batches(GroupSizes(5, 5, 5))
-            res = [ev.evaluate_codes(next(batches)) for _ in range(20)]
             keys = ("itt", "zbar", "az_a", "e_sq")
-            np.savez(sys.argv[1], **{k: np.concatenate([r[k] for r in res]) for k in keys})
+            out = {}
+            for sizes in ((5, 5, 5), (2, 2, 14), (2, 2, 16)):
+                sizes = GroupSizes(*sizes)
+                pop, _ = normalize_z(Population(**generate_population(5, sizes.n)))
+                ev = BatchEvaluator(pop, sizes)
+                res = [ev.evaluate_codes(batch) for batch in iter_code_batches(sizes)]
+                for k in keys:
+                    out[f"{sizes.n}_{k}"] = np.concatenate([r[k] for r in res])
+            np.savez(sys.argv[1], **out)
             """
         )
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
@@ -420,30 +453,78 @@ class TestBatchEvaluator:
             with np.load(path) as arrays:
                 outputs.append({key: arrays[key] for key in arrays.files})
         default, prescott = outputs
-        assert default["itt"].shape == (20 * 4096, 3)
+        assert default["15_itt"].shape == (756_756, 3)
+        assert default["18_itt"].shape == (18_360, 3)
+        assert default["20_itt"].shape == (29_070, 3)
         for key, value in default.items():
             differ = np.count_nonzero(value.view(np.int64) != prescott[key].view(np.int64))
             assert differ == 0, f"{key}: {differ} elements differ between BLAS kernels"
 
 
-def per_group_reference(ev, pop, codes=None, idx=None):
-    """``BatchEvaluator`` output built from three separate per-group sum routes.
+def assert_same_output(got, want):
+    """Same keys, same bits and same signs of zero, NaN where NaN."""
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        assert np.array_equal(got[key], value, equal_nan=True), key
+        np.testing.assert_array_equal(np.signbit(got[key]), np.signbit(value), key)
 
-    With ``codes``, group k's sums are one mask product
-    ``(codes == k) @ [y_k, y_k z, y_k^2, z]``; with ``idx``, each is a
-    ``take(...).sum(axis=1)`` gather of that group's contiguous columns.
+
+def operand_columns(pop, k):
+    """Group k's per-subject values of Y, zY, Y^2 and z."""
+    y = (pop.a, pop.b, pop.c)[k]
+    return (y, y * pop.z, y**2, pop.z)
+
+
+def mask_sums(pop, codes):
+    """(4, 3, m) group sums of arbitrary label ``codes``: 0/1-mask matrix products."""
+    sums = np.empty((4, 3, len(codes)))
+    for k in range(3):
+        sums[:, k] = np.column_stack(operand_columns(pop, k)).T @ (codes == k).T.astype(float)
+    return sums
+
+
+def table_order_sums(pop, codes):
+    """(4, 3, m) group sums of enumerated ``codes`` in the exact engine's order.
+
+    Each row's positions fall into the last ``tail``, the first ``head``
+    and chunks of at most ``_TABLE_POSITIONS`` in between, in that order;
+    each part's sums start at +0.0 and add the group's members in
+    position order, and the parts' sums are added in that order.
     """
-    responses = (pop.a, pop.b, pop.c)
-    sums = []
-    for k, y in enumerate(responses):
-        operands = (y, y * pop.z, y**2, pop.z)
-        if codes is not None:
-            sums.append((codes == k).astype(float) @ np.column_stack(operands))
-        else:
+    n = codes.shape[1]
+    head = min(n // 2, _TABLE_POSITIONS)
+    tail = min(n - head, _TABLE_POSITIONS)
+    parts = [range(n - tail, n), range(head)]
+    parts += [range(lo, min(lo + _TABLE_POSITIONS, n - tail)) for lo in range(head, n - tail, _TABLE_POSITIONS)]
+    total = None
+    for part in parts:
+        sums = np.zeros((4, 3, len(codes)))
+        for pos in part:
+            for k in range(3):
+                member = codes[:, pos] == k
+                for q, x in enumerate(operand_columns(pop, k)):
+                    sums[q, k] = np.where(member, sums[q, k] + x[pos], sums[q, k])
+        total = sums if total is None else total + sums
+    return total
+
+
+def per_group_reference(ev, pop, codes=None, idx=None):
+    """``BatchEvaluator`` output built from separate per-group sum routes.
+
+    With enumerated ``codes``, the sums are :func:`table_order_sums`; with
+    ``idx``, each is a ``take(...).sum(axis=1)`` gather of that group's
+    contiguous columns.
+    """
+    if codes is not None:
+        sums = table_order_sums(pop, codes)
+    else:
+        sums = np.empty((4, 3, len(idx)))
+        for k in range(3):
             lo = int(ev.counts[:k].sum())
             block = np.ascontiguousarray(idx[:, lo : lo + int(ev.counts[k])])
-            sums.append(np.column_stack([x.take(block).sum(axis=1) for x in operands]))
-    t, zy, ysq, g = (np.column_stack([s[:, j] for s in sums]) for j in range(4))
+            for q, x in enumerate(operand_columns(pop, k)):
+                sums[q, k] = x.take(block).sum(axis=1)
+    t, zy, ysq, g = (np.ascontiguousarray(s.T) for s in sums)
     u = zy[:, 0] + zy[:, 1] + zy[:, 2]  # no zero start, as the evaluator adds it
     out = rowwise_group_sum_regression(t, g, u, ysq.sum(axis=1), pop.z @ pop.z, ev.counts, pop.n)
     out["az_a"] = zy[:, 0] / ev.counts[0]
@@ -535,6 +616,16 @@ class TestGroupSumKernel:
                 got = np.einsum("km,km->m", x, y)
             np.testing.assert_array_equal(got, expected)
             np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+
+    def test_single_rows_match_rowwise_kernel(self):
+        # a one-column (3, 1) contraction, as a one-row batch or
+        # mr_via_normal_equations forms it, keeps the order of many columns
+        rng = np.random.default_rng(46)
+        counts = np.array([2.0, 3.0, 4.0])
+        for _ in range(300):
+            t, g = rng.normal(size=(2, 1, 3))
+            u, ysq = rng.normal(size=(2, 1))
+            assert_same_kernel_output(t, g, u, ysq + 30.0, 40.0, counts, 9)
 
     def test_negative_zero_terms(self):
         # every g * t / counts term is -0.0: the row-wise sum is +0.0, so

@@ -48,6 +48,7 @@ from triarm.scenarios import (
 )
 
 from conftest import contrast_var
+from test_estimators import mask_sums
 
 
 def reference_dump(path, first_column, batches):
@@ -179,7 +180,7 @@ class TestExactEngine:
         assert rows[1][0] == "ABCCCC"
         # full-precision round trip of the first dumped adjusted estimate
         codes = Assignment.from_labels(rows[1][0]).codes[None, :]
-        first = BatchEvaluator(table_pop, sizes).evaluate_codes(codes)
+        first = BatchEvaluator(table_pop, sizes).evaluate_sums(mask_sums(table_pop, codes))
         assert float(rows[1][4]) == first["mr"][0, 0]
 
     @pytest.mark.parametrize("mode", ["all", "a-before-b"])
@@ -204,11 +205,8 @@ def fancy_evaluate_index(evaluator, idx):
     """``BatchEvaluator.evaluate_index`` by fancy indexing with strided column blocks."""
     n_a, n_b, _ = evaluator.sizes.counts()
     blocks = (idx[:, :n_a], idx[:, n_a : n_a + n_b], idx[:, n_a + n_b :])
-    t = [evaluator.responses[k][block].sum(axis=1) for k, block in enumerate(blocks)]
-    zy = [evaluator.products[k][block].sum(axis=1) for k, block in enumerate(blocks)]
-    ysq = [evaluator.squares[k][block].sum(axis=1) for k, block in enumerate(blocks)]
-    g = [evaluator.z[block].sum(axis=1) for block in blocks]
-    return evaluator._from_group_sums(t, g, zy, ysq)
+    sums = [[x[block].sum(axis=1) for x, block in zip(quantity, blocks)] for quantity in evaluator.operands]
+    return evaluator.evaluate_sums(np.array(sums))
 
 
 def whole_batch_monte_carlo(monkeypatch, pop, sizes, reps, seed, **kwargs):
