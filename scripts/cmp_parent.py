@@ -21,6 +21,11 @@ tree's.  The list covers:
 * ``enumerate`` in both modes with ``--dump``, ``analyze`` with
   ``--replicate`` and ``simulate`` on the raw covariate
   (``--normalize off``), all on a 12-subject population;
+* ``enumerate`` in both modes with ``--dump`` on populations of 3 and 7
+  subjects at sizes 1,1,1 and 2,2,3, whose prefix tables are 1 and 3
+  positions wide, so label codes are joined from tables of odd widths
+  (at 1,1,1 every assignment is singular: the command exits 2 and keeps
+  no dump, so its stderr and exit code are what is compared);
 * ``enumerate`` in both modes with ``--dump`` on an 18-subject
   population at sizes 2,2,14 (18,360 and 9,180 rows), a 20-subject one
   at 2,2,16 (29,070 and 14,535 rows) and a 32-subject one at 1,1,30 (992
@@ -43,7 +48,7 @@ environment, so a BLAS kernel forced for the whole script, as in
 ``OPENBLAS_CORETYPE=Prescott python3 scripts/cmp_parent.py HEAD``,
 compares like with like.  Everything is written to the temporary
 directory, which is removed at the end; nothing is written inside the
-repository, bytecode caches included.  Takes about 15 s on a two-core
+repository, bytecode caches included.  Takes about 22 s on a two-core
 host.
 
 ``--numeric`` checks a declared bit change instead of byte identity.  A
@@ -156,11 +161,11 @@ def command_list(work: Path) -> list:
         argv = ["enumerate", str(small), "--sizes", "4,4,4", "--mode", mode, "--dump", str(dump)]
         commands.append((argv, dump))
     commands.append((["analyze", str(small), "--sizes", "12,12,12", "--replicate", "3"], None))
-    for sizes, n in (("2,2,14", 18), ("2,2,16", 20), ("1,1,30", 32)):
-        middle = work / f"middle{n}.csv"
-        write_population(middle, generate_population(SEED, n))
+    for sizes, n in (("1,1,1", 3), ("2,2,3", 7), ("2,2,14", 18), ("2,2,16", 20), ("1,1,30", 32)):
+        population = work / f"enumerate{n}.csv"
+        write_population(population, generate_population(SEED, n))
         for mode in ("all", "a-before-b"):
-            argv = ["enumerate", str(middle), "--sizes", sizes, "--mode", mode, "--dump", str(dump)]
+            argv = ["enumerate", str(population), "--sizes", sizes, "--mode", mode, "--dump", str(dump)]
             commands.append((argv, dump))
     argv = ["simulate", str(small), "--sizes", "4,4,4", "--normalize", "off", "--reps", "3000"]
     commands.append((argv + ["--seed", "4"], None))

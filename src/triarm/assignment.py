@@ -6,7 +6,7 @@ assignments exhaustively in lexicographic order and turns an assignment
 plus a population into the observed response vector.
 
 Enumeration unranks: each batch is a contiguous range of ranks, turned
-into label codes by vectorized multiset-permutation unranking in int64
+into table rows by vectorized multiset-permutation unranking in int64
 (mode ``a-before-b`` first shifts its ranks onto ranks among all label
 sequences; the shifted ranks still ascend).  A batch reads its first
 ``head`` positions from a prefix table, one run of rows per prefix, runs
@@ -20,9 +20,11 @@ width.  The order is the plain lexicographic one, no batch depends on
 the one before, and enumeration is refused once the number of label
 sequences times n reaches 2**63.
 
-Each batch is a :class:`CodeBatch`: the label codes plus, for every row,
-its prefix run, its suffix row and its row in each middle chunk's
-table.  The exact engine's evaluator
+Each batch is a :class:`CodeBatch`, stored only as table coordinates:
+its prefix runs and, for every row, its suffix row and its row in each
+middle chunk's table.  Its ``codes`` property is the one place that
+forms label codes, from those rows; only the dump, the single-assignment
+stream and tests read it.  The exact engine's evaluator
 (``estimators.BatchEvaluator.evaluate_codes``) sums Y, zY, Y^2 and z per
 group over every table row once per enumeration, and adds a batch's
 rows' sums into one contiguous (4, 3, m) block, quantity by group by
@@ -73,7 +75,11 @@ class GroupSizes:
 
     def __post_init__(self):
         for name, value in zip(GROUPS, (self.n_a, self.n_b, self.n_c)):
-            if int(value) != value or value < 1:
+            try:
+                whole = int(value) == value
+            except (TypeError, ValueError, OverflowError):  # None, NaN, inf
+                whole = False
+            if not whole or value < 1:
                 raise ValueError(f"group {name} size must be a positive integer, got {value!r}")
         object.__setattr__(self, "n_a", int(self.n_a))
         object.__setattr__(self, "n_b", int(self.n_b))
@@ -104,12 +110,13 @@ class Assignment:
     codes: np.ndarray
 
     def __post_init__(self):
-        codes = np.asarray(self.codes, dtype=np.int8)
-        if codes.ndim != 1 or codes.size < 3:
+        given = np.asarray(self.codes)
+        if given.ndim != 1 or given.size < 3:
             raise ValueError("an assignment needs at least one subject per group")
-        if codes.min() < 0 or codes.max() > 2:
+        # checked before the cast, which would wrap 258 and truncate 2.7
+        if not ((given == 0) | (given == 1) | (given == 2)).all():
             raise ValueError("assignment codes must be 0, 1 or 2")
-        codes = codes.copy()
+        codes = given.astype(np.int8)
         codes.setflags(write=False)
         object.__setattr__(self, "codes", codes)
         # every group non-empty; GroupSizes enforces positivity
@@ -198,19 +205,14 @@ class _UnrankTables(NamedTuple):
     whose counts fit the group sizes, in lexicographic order; prefix i
     is shared by ``completions[i]`` label sequences, the ranks
     ``starts[i]`` onwards, and leaves ``rest_a[i]`` A and ``rest_b[i]``
-    B labels to place.  ``prefixes`` is a view of ``padded``, whose rows
-    continue with zeros up to a width of 1, 2, 4 or 8 positions, which
-    numpy copies as one machine word; that width never exceeds n, and
-    :func:`_unrank` writes every position past ``head`` after the
-    prefix.  ``suffixes`` holds every sequence of the last ``tail``
-    positions, grouped by its A and B counts (k_A, k_B) with each group
-    still lexicographic; group (k_A, k_B) starts at row
+    B labels to place.  ``suffixes`` holds every sequence of the last
+    ``tail`` positions, grouped by its A and B counts (k_A, k_B) with
+    each group still lexicographic; group (k_A, k_B) starts at row
     ``offsets[k_A * (tail + 1) + k_B]``.  ``chunks`` splits the positions
     in between, if any, into :class:`_MiddleChunk` tables.
     """
 
     prefixes: np.ndarray
-    padded: np.ndarray
     starts: np.ndarray
     completions: np.ndarray
     rest_a: np.ndarray
@@ -221,24 +223,31 @@ class _UnrankTables(NamedTuple):
 
 
 class CodeBatch:
-    """One enumerated batch: label codes and the table rows they came from.
+    """One enumerated batch, stored as the unranking-table rows of its assignments.
 
-    ``codes`` is the (m, n) int8 array of label codes.  The first ``head``
-    positions of the rows are the prefix rows ``tables.prefixes[runs]``,
-    each repeated over ``lengths`` consecutive rows; the last ``tail``
-    positions of row i are ``tables.suffixes[rows[i]]``; and the
-    positions of middle chunk j are ``tables.chunks[j].sequences[keys[j][i]]``.
-    ``len()`` is the row count.
+    The first ``head`` positions of the rows are the prefix rows
+    ``tables.prefixes[runs]``, each repeated over ``lengths`` consecutive
+    rows; the positions of middle chunk j in row i are
+    ``tables.chunks[j].sequences[keys[j][i]]``; and the last ``tail``
+    positions are ``tables.suffixes[rows[i]]``.  ``codes`` joins them into
+    the (m, n) int8 array of label codes, anew on every read; the exact
+    engine's evaluator never reads it.  ``len()`` is the row count.
     """
 
-    __slots__ = ("codes", "tables", "runs", "lengths", "rows", "keys")
+    __slots__ = ("tables", "runs", "lengths", "rows", "keys")
 
-    def __init__(self, codes, tables: _UnrankTables, runs: slice, lengths, rows, keys: tuple):
-        self.codes, self.tables, self.runs = codes, tables, runs
-        self.lengths, self.rows, self.keys = lengths, rows, keys
+    def __init__(self, tables: _UnrankTables, runs: slice, lengths, rows, keys: tuple):
+        self.tables, self.runs, self.lengths, self.rows, self.keys = tables, runs, lengths, rows, keys
+
+    @property
+    def codes(self) -> np.ndarray:
+        tables = self.tables
+        prefixes = tables.prefixes[self.runs].repeat(self.lengths, axis=0)
+        middle = [chunk.sequences[key] for chunk, key in zip(tables.chunks, self.keys)]
+        return np.concatenate([prefixes, *middle, tables.suffixes[self.rows]], axis=1)
 
     def __len__(self) -> int:
-        return len(self.codes)
+        return len(self.rows)
 
 
 def _label_sequences(width: int, sizes: GroupSizes):
@@ -269,8 +278,6 @@ def _unrank_tables(sizes: GroupSizes) -> _UnrankTables:
         rest = sizes.n_a - a
         ways[a, b] = math.comb(m, rest) * math.comb(m - rest, sizes.n_b - b)
     completions = ways[k_a, k_b]
-    padded = np.zeros((len(prefixes), 1 << (head - 1).bit_length()), dtype=np.int8)
-    padded[:, :head] = prefixes
     suffixes, s_a, s_b = _label_sequences(tail, sizes)
     group = s_a * (tail + 1) + s_b
     order = np.argsort(group, kind="stable")
@@ -284,8 +291,7 @@ def _unrank_tables(sizes: GroupSizes) -> _UnrankTables:
             by_width[width] = sequences, lookup
         chunks.append(_MiddleChunk(start, *by_width[width]))
     return _UnrankTables(
-        prefixes=padded[:, :head],
-        padded=padded,
+        prefixes=prefixes,
         starts=np.cumsum(completions) - completions,
         completions=completions,
         rest_a=rest_a,
@@ -305,31 +311,26 @@ def _unrank(sizes: GroupSizes, tables: _UnrankTables, rank: np.ndarray) -> CodeB
     checked.  Each prefix then covers one run of consecutive rows: the
     runs of the prefixes from the first row's to the last row's are
     found by searching ``rank`` for their starts and ends, and each
-    prefix's row of the padded table and its counts are repeated over
-    its run.  The rank within the prefix's ``left`` completions remains.
-    Each middle position takes one pass that picks A, B or C for every
-    row at once: of the ``left`` completions, ``left * n_A / m`` put A
-    next and ``left * n_B / m`` put B next, where ``n_A``, ``n_B`` are
-    the labels still to place and ``m`` the positions still open.  The
-    codes a middle chunk picks add up to its base-3 key, which the
-    chunk's lookup turns into a row of its table, and that row is copied
-    in.  The last ``tail`` positions are row ``rank`` of the suffix group
-    with the remaining A and B counts; with no middle positions that
-    group is the prefix's own, so a row's suffix row is its rank plus one
-    shift per prefix.
+    prefix's counts are repeated over its run.  The rank within the
+    prefix's ``left`` completions remains.  Each middle position takes
+    one pass that picks A, B or C for every row at once: of the ``left``
+    completions, ``left * n_A / m`` put A next and ``left * n_B / m`` put
+    B next, where ``n_A``, ``n_B`` are the labels still to place and
+    ``m`` the positions still open.  The codes a middle chunk picks add
+    up to its base-3 key, which the chunk's lookup turns into a row of
+    its table.  The last ``tail`` positions are row ``rank`` of the
+    suffix group with the remaining A and B counts; with no middle
+    positions that group is the prefix's own, so a row's suffix row is
+    its rank plus one shift per prefix.  No label code is written: the
+    batch holds only these table rows.
     """
     n, rows = sizes.n, len(rank)
     head, tail = tables.prefixes.shape[1], tables.suffixes.shape[1]
-    codes = np.empty((rows, n), dtype=np.int8)
     first = tables.starts.searchsorted(rank[0], "right") - 1
     last = tables.starts.searchsorted(rank[-1], "right") - 1
     runs = slice(first, last + 1)
     starts = tables.starts[runs]
     lengths = rank.searchsorted(starts + tables.completions[runs]) - rank.searchsorted(starts)
-    # the padding past head is overwritten below
-    width = tables.padded.shape[1]
-    void = f"V{width}"
-    codes[:, :width].view(void)[:, 0] = tables.padded.view(void)[runs, 0].repeat(lengths)
     keys = []
     if head + tail == n:
         group = tables.rest_a[runs] * (tail + 1) + tables.rest_b[runs]
@@ -358,20 +359,8 @@ def _unrank(sizes: GroupSizes, tables: _UnrankTables, rank: np.ndarray) -> CodeB
                 n_a -= ~past_a
                 n_b -= past_a & ~past_b
             keys.append(chunk.lookup.take(key))
-            _gather_rows(chunk.sequences, keys[-1], codes[:, chunk.start : stop])
         row = tables.offsets[n_a * (tail + 1) + n_b] + rank
-    _gather_rows(tables.suffixes, row, codes[:, n - tail :])
-    return CodeBatch(codes, tables, runs, lengths, row, tuple(keys))
-
-
-def _gather_rows(table: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
-    """``out[:] = table[index]``, moving each row as one opaque element.
-
-    Viewing a row of int8 codes as one ``V{width}`` item lets numpy copy
-    it whole instead of one byte at a time.
-    """
-    void = f"V{table.shape[1]}"
-    out.view(void)[:, 0] = table.view(void)[:, 0].take(index)
+    return CodeBatch(tables, runs, lengths, row, tuple(keys))
 
 
 def _a_before_b_starts(sizes: GroupSizes) -> np.ndarray:
@@ -395,10 +384,11 @@ def iter_code_batches(
 ) -> Iterator[CodeBatch]:
     """Yield enumerated assignments as :class:`CodeBatch` objects.
 
-    Each batch's ``codes`` is a (batch, n) int8 array of label codes.
-    Lexicographic over label sequences with A < B < C; every batch but
-    the last holds ``_BATCH_ROWS`` rows and is unranked from its own rank
-    range, in ascending order as :func:`_unrank` requires.  The prefix,
+    Each batch's ``codes`` is a (batch, n) int8 array of label codes,
+    formed from its table rows when read.  Lexicographic over label
+    sequences with A < B < C; every batch but the last holds
+    ``_BATCH_ROWS`` rows and is unranked from its own rank range, in
+    ascending order as :func:`_unrank` requires.  The prefix,
     suffix and middle-chunk tables (:func:`_unrank_tables`) are built once
     per call, on the first ``next()``, after both guards below; every
     batch reads its first and last positions from them, each prefix over

@@ -19,7 +19,8 @@ independent computation routes are provided and cross-checked in tests:
   C-contiguous (4, 3, m) block, ``sums[q, k]`` being quantity q (Y, zY,
   Y^2, z) summed over group k, to :meth:`BatchEvaluator.evaluate_sums`.
   The exact engine builds the block from per-row sums of its unranking
-  tables (:meth:`BatchEvaluator.evaluate_codes`), the Monte Carlo engine
+  tables (:meth:`BatchEvaluator.evaluate_codes`), reading a batch's
+  table rows and never its label codes, the Monte Carlo engine
   by gathers (:meth:`BatchEvaluator.evaluate_index`); neither calls
   BLAS, so ``z_sum_sq`` is the one BLAS result on the bit path.  The
   kernel divides by the counts through their reciprocals, ``t * (1.0 /

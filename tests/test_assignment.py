@@ -104,8 +104,8 @@ def _boundary_ranks(sizes, mode, tables):
     kept = np.unique(
         np.concatenate(
             [
-                np.arange(4096),
-                np.arange(count - 4096, count),
+                np.arange(min(4096, count)),
+                np.arange(max(count - 4096, 0), count),
                 kept,
                 rng.integers(0, count, 5000),
             ]
@@ -118,6 +118,11 @@ class TestGroupSizes:
     def test_rejects_zero_group(self):
         with pytest.raises(ValueError, match="positive"):
             GroupSizes(0, 3, 3)
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_rejects_non_finite_size(self, value):
+        with pytest.raises(ValueError, match="positive integer"):
+            GroupSizes(value, 1, 1)
 
     def test_size_mismatch_message(self):
         with pytest.raises(ValueError, match="size mismatch"):
@@ -141,6 +146,12 @@ class TestAssignment:
     def test_missing_group_rejected(self):
         with pytest.raises(ValueError):
             Assignment.from_labels("AABB")
+
+    # an int8 cast would read these as 0, 1, 2, 2 and 0, 1, 2
+    @pytest.mark.parametrize("codes", [[0, 1, 258, -254], [0, 1, 2.7]], ids=["wrapped", "truncated"])
+    def test_rejects_codes_an_int8_cast_would_narrow(self, codes):
+        with pytest.raises(ValueError, match="0, 1 or 2"):
+            Assignment(np.array(codes))
 
 
 class TestRandomAssignment:
@@ -219,8 +230,9 @@ class TestEnumeration:
                 assert g.dtype == np.int8
                 np.testing.assert_array_equal(g, e)
 
-    # n = 16, 17, 24 and 34: the middle loop between the two 8-position
-    # tables runs for 0, 1, 8 and 18 positions (middle chunks of 8, 8 and 2)
+    # n = 16, 17, 24, 34 and 32: the middle loop between the two
+    # 8-position tables runs for 0, 1, 8, 18 and 16 positions (middle
+    # chunks of 8, 8 and 2 at n = 34, of 8 and 8 at n = 32)
     @pytest.mark.parametrize(
         "sizes, mode",
         [
@@ -232,16 +244,21 @@ class TestEnumeration:
             ((8, 8, 8), "a-before-b"),
             ((2, 2, 30), "all"),
             ((2, 2, 30), "a-before-b"),
+            ((1, 1, 30), "all"),
+            ((1, 1, 30), "a-before-b"),
         ],
     )
     def test_tables_at_their_cap_match_reference_unrank(self, sizes, mode):
         sizes = GroupSizes(*sizes)
-        total = assignment_count(sizes)
+        n, total = sizes.n, assignment_count(sizes)
         tables = _unrank_tables(sizes)
         assert tables.prefixes.shape[1] == tables.suffixes.shape[1] == 8
+        assert [chunk.start for chunk in tables.chunks] == list(range(8, n - 8, 8))
         rank = _boundary_ranks(sizes, mode, tables)
         given = rank.copy()
-        got = _unrank(sizes, tables, rank).codes
+        batch = _unrank(sizes, tables, rank)
+        got = batch.codes
+        assert len(batch) == len(rank) and len(batch.keys) == len(tables.chunks)
         np.testing.assert_array_equal(rank, given)
         np.testing.assert_array_equal(got, reference_unrank(sizes, total, rank))
         if mode == "a-before-b":
@@ -270,29 +287,6 @@ class TestEnumeration:
             closing += np.isin(piece[-1] + 1, tables.starts)
             lo = hi
         assert opening > 0 and closing > 0
-
-    # n = 15, 17, 34 and 32: no middle positions, one, chunks of 8, 8 and
-    # 2, and chunks of 8, 8; 97-row batches cut prefix runs
-    @pytest.mark.parametrize(
-        "sizes, mode",
-        [((5, 5, 5), "all"), ((6, 6, 5), "a-before-b"), ((2, 2, 30), "all"), ((1, 1, 30), "a-before-b")],
-    )
-    def test_batch_table_rows_rebuild_its_codes(self, monkeypatch, sizes, mode):
-        monkeypatch.setattr(triarm.assignment, "_BATCH_ROWS", 97)
-        sizes = GroupSizes(*sizes)
-        n = sizes.n
-        for batch in itertools.islice(iter_code_batches(sizes, mode, limit=10**8), 100):
-            tables = batch.tables
-            head, tail = tables.prefixes.shape[1], tables.suffixes.shape[1]
-            assert len(batch) == len(batch.codes)
-            prefixes = tables.prefixes[batch.runs].repeat(batch.lengths, axis=0)
-            np.testing.assert_array_equal(prefixes, batch.codes[:, :head])
-            np.testing.assert_array_equal(tables.suffixes[batch.rows], batch.codes[:, n - tail :])
-            starts = [chunk.start for chunk in tables.chunks]
-            assert starts == list(range(head, n - tail, 8)) and len(batch.keys) == len(starts)
-            for chunk, key in zip(tables.chunks, batch.keys):
-                stop = min(chunk.start + 8, n - tail)
-                np.testing.assert_array_equal(chunk.sequences[key], batch.codes[:, chunk.start : stop])
 
     @pytest.mark.parametrize("limit", [10**40, 10**60])
     def test_int64_rank_ceiling_guard(self, limit, monkeypatch):

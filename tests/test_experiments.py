@@ -36,7 +36,7 @@ from triarm import (
     order_checks,
     prop1_moments,
 )
-from triarm.assignment import assignment_count, enumerate_assignments, worker_generator
+from triarm.assignment import CodeBatch, assignment_count, enumerate_assignments, worker_generator
 from triarm.cli import main
 from triarm.estimators import BatchEvaluator, nominal_covariance
 from triarm.experiments import _batch_plan, _Moments, _process_in_order
@@ -199,6 +199,21 @@ class TestExactEngine:
         sizes = GroupSizes(2, 2, 2)
         summary = exact_distribution(table_pop, sizes, mode=mode)
         assert rows and sum(rows) == summary.assignment_count == assignment_count(sizes, mode)
+
+    def test_only_the_dump_forms_label_codes(self, monkeypatch, tmp_path):
+        # the estimators read the batches' table rows; label codes are
+        # formed for the dump's row keys alone.  n = 18 at 1,1,16 runs
+        # one middle chunk of 2 positions.
+        def refuse(batch):
+            raise AssertionError("label codes formed")
+
+        monkeypatch.setattr(CodeBatch, "codes", property(refuse))
+        pop = Population(*np.random.default_rng(7).normal(size=(4, 18)))
+        sizes = GroupSizes(1, 1, 16)
+        assert exact_distribution(pop, sizes).assignment_count == 306
+        assert contrast_symmetry_deviation(pop, sizes) >= 0.0
+        with pytest.raises(AssertionError, match="label codes formed"):
+            exact_distribution(pop, sizes, dump_path=tmp_path / "dump.csv")
 
 
 def fancy_evaluate_index(evaluator, idx):
