@@ -199,6 +199,13 @@ def _default_threads() -> int:
 
 
 def _prepare_population(args):
+    dump = getattr(args, "dump", None)
+    try:
+        same = bool(dump) and os.path.samefile(dump, args.population)
+    except OSError:  # either is missing: load_population reports the population
+        same = False
+    if same:
+        raise ValueError(f"--dump {dump} is the population file; the dump would replace it")
     pop = load_population(args.population)
     sizes = _parse_sizes(args.sizes)
     n = pop.n * args.replicate

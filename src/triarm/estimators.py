@@ -14,21 +14,21 @@ independent computation routes are provided and cross-checked in tests:
   sums.  One batched kernel implements it: :class:`BatchEvaluator` runs
   it over many assignments for the engines, and
   :func:`mr_via_normal_equations` is its one-row call; both get the
-  nominal covariance from :func:`nominal_covariance`.  Group sums travel
-  as (3, m) arrays, a row per group.  The engines hand them over as one
-  C-contiguous (4, 3, m) block, ``sums[q, k]`` being quantity q (Y, zY,
-  Y^2, z) summed over group k, to :meth:`BatchEvaluator.evaluate_sums`.
-  The exact engine builds the block from per-row sums of its unranking
-  tables (:meth:`BatchEvaluator.evaluate_codes`), reading a batch's
-  table rows and never its label codes, the Monte Carlo engine
-  by gathers (:meth:`BatchEvaluator.evaluate_index`); neither calls
-  BLAS, so ``z_sum_sq`` is the one BLAS result on the bit path.  The
-  kernel divides by the counts through their reciprocals, ``t * (1.0 /
-  counts)``, and contracts each sum over the groups with
-  ``np.einsum("km,km->m", x, y)``, which gives the bits of ``0.0 +
-  x[0]*y[0] + x[1]*y[1] + x[2]*y[2]``: every product rounded on its own,
-  added in group order from a +0.0 start, so three -0.0 terms sum to
-  +0.0.  A single column, which ``einsum`` may reduce with fused
+  nominal covariance from :func:`nominal_covariance`.  Every caller
+  hands the kernel (:func:`_group_sum_regression`, which states the
+  block's layout) one (4, 3, m) block of per-group sums.  The exact
+  engine builds it from per-row sums of its unranking tables
+  (:meth:`BatchEvaluator.evaluate_codes`), reading a batch's table rows
+  and never its label codes, the Monte Carlo engine by gathers
+  (:meth:`BatchEvaluator.evaluate_index`) and
+  :func:`mr_via_normal_equations` by ``np.bincount``, as one row.  None
+  of them calls BLAS, so the sum of z^2 is the one BLAS result on the
+  bit path.  The kernel divides by the counts through their
+  reciprocals, ``t * (1.0 / counts)``, and contracts each sum over the
+  groups with ``np.einsum("km,km->m", x, y)``, which gives the bits of
+  ``0.0 + x[0]*y[0] + x[1]*y[1] + x[2]*y[2]``: every product rounded on
+  its own, added in group order from a +0.0 start, so three -0.0 terms
+  sum to +0.0.  A single column, which ``einsum`` may reduce with fused
   multiply-adds, is summed written out (:func:`_over_groups`).
   ``TestGroupSumKernel`` pins that order,
   ``test_einsum_sums_three_products_from_a_zero_start`` included, and
@@ -139,17 +139,20 @@ def _over_groups(x, y):
     return np.einsum("km,km->m", x, y)
 
 
-def _group_sum_regression(t, g, u, ysq, zsq, counts, n) -> dict:
+def _group_sum_regression(sums, zsq, counts, n) -> dict:
     """Both estimators for m assignments from their raw group sums.
 
-    ``t`` and ``g`` are (3, m) per-group sums of Y and z (or three (m,)
-    columns); ``u`` and ``ysq`` are (m,) sums of zY and Y^2, ``zsq`` the
-    sum of z^2 and ``counts`` the float group counts.  Rows whose design
-    is singular come back with ``valid`` False and NaN estimates.
+    ``sums`` is a C-contiguous (4, 3, m) block: ``sums[q, k]`` is quantity
+    q (Y, zY, Y^2, z) summed over group k's members, one entry per
+    assignment, Y being a, b or c for groups A, B, C.  ``zsq`` is the sum
+    of z^2 and ``counts`` the float group counts.  The groups' zY and Y^2
+    sums are added A, B, C, the latter from a +0.0 start.  Rows whose
+    design is singular come back with ``valid`` False and NaN estimates.
     ``sigma_hat_sq`` is NaN when n <= 4.  ``itt``, ``mr`` and ``zbar``
-    (the z group means) are column-major (m, 3) arrays.
+    (the z group means) are column-major (m, 3) arrays; ``az_a`` is group
+    A's mean of ``a * z``.
     """
-    t, g = np.asarray(t), np.asarray(g)
+    t, zy, ysq, g = sums
     inv = 1.0 / counts
     ybar_k = t * inv[:, None]
     zbar_k = g * inv[:, None]
@@ -161,8 +164,8 @@ def _group_sum_regression(t, g, u, ysq, zsq, counts, n) -> dict:
     ybar, zbar = ybar_k.T, zbar_k.T
     f_sq = zsq - gg
     valid = f_sq > SINGULARITY_TOL * n
-    q = (u - gt) / np.where(valid, f_sq, np.nan)
-    e_sq = ysq - tt
+    q = (zy[0] + zy[1] + zy[2] - gt) / np.where(valid, f_sq, np.nan)
+    e_sq = (0.0 + ysq[0] + ysq[1] + ysq[2]) - tt
     if n > 4:
         # a residual sum of squares: clamp the roundoff of the subtraction at 0
         sigma_sq = np.maximum(e_sq - q * q * f_sq, 0.0) / (n - 4)
@@ -177,6 +180,7 @@ def _group_sum_regression(t, g, u, ysq, zsq, counts, n) -> dict:
         "e_sq": e_sq,
         "f_sq": f_sq,
         "zbar": zbar,
+        "az_a": zy[0] / counts[0],
     }
 
 
@@ -235,16 +239,14 @@ def mr_estimates(z, Y, asg: Assignment) -> MREstimate:
 def mr_via_normal_equations(z, Y, asg: Assignment) -> MREstimate:
     """Adjusted estimates via the bordered cross-product system.
 
-    Builds the raw sums behind X'X and X'Y and hands them to the batched
-    group-sum kernel as a single row; never forms residual vectors.
+    Builds the raw group sums behind X'X and X'Y, one ``np.bincount`` per
+    quantity, and hands them to the batched group-sum kernel as a one-row
+    block; never forms residual vectors.
     """
     z, Y = _validated(z, Y, asg)
     counts = asg.sizes.counts().astype(float)
-    t = np.bincount(asg.codes, weights=Y, minlength=3)  # response sums per group
-    g = np.bincount(asg.codes, weights=z, minlength=3)  # covariate sums per group
-    fit = _group_sum_regression(
-        t[:, None], g[:, None], np.array([z @ Y]), np.array([Y @ Y]), z @ z, counts, asg.n
-    )
+    sums = np.stack([np.bincount(asg.codes, weights=w, minlength=3) for w in (Y, z * Y, Y * Y, z)])
+    fit = _group_sum_regression(sums[:, :, None], z @ z, counts, asg.n)
     if not fit["valid"][0]:
         raise SingularDesignError()
     fit["nominal_cov"] = nominal_covariance(fit, counts)
@@ -258,17 +260,16 @@ class BatchEvaluator:
     Precomputes the per-population operands once: ``operands[q, k]`` holds,
     for every subject, quantity q of group k, with the quantities Y, zY,
     Y^2 and z in that order (Y being a, b or c for groups A, B, C).
-    :meth:`evaluate_sums` is the one kernel entry point: it takes a (4, 3,
-    m) block of per-group sums of those quantities over m assignments,
-    ``sums[q, k]`` a contiguous row of m.  Two producers build that block:
+    :meth:`evaluate_sums` is the one kernel entry point: it takes the
+    kernel's (4, 3, m) block of per-group sums of those quantities over m
+    assignments.  Two producers build that block:
     :meth:`evaluate_codes` from an enumerated batch's unranking-table rows,
     and :meth:`evaluate_index` from an index matrix whose leading columns
     are the A then B then C members (sampling).  Rows whose design is
     singular come back with ``valid`` False and NaN estimates; callers
-    decide whether to drop or redraw.  Results are the kernel's keys plus
-    ``az_a``, group A's mean of ``a * z``; the (m, 3) results may be
-    column-major views, never assume C order.  The nominal covariance comes
-    from :func:`nominal_covariance`.
+    decide whether to drop or redraw.  Results are the kernel's keys; the
+    (m, 3) results may be column-major views, never assume C order.  The
+    nominal covariance comes from :func:`nominal_covariance`.
     """
 
     def __init__(self, pop, sizes: GroupSizes):
@@ -298,18 +299,8 @@ class BatchEvaluator:
         self._tables = self._table_sums = None
 
     def evaluate_sums(self, sums: np.ndarray):
-        """Both estimators from a (4, 3, m) block of per-group sums.
-
-        ``sums[q, k]`` is quantity q (Y, zY, Y^2, z) summed over group k's
-        members, one entry per assignment.  The groups' zY and Y^2 sums
-        are added A, B, C, the latter from a +0.0 start.
-        """
-        t, zy, ysq, g = sums
-        u = zy[0] + zy[1] + zy[2]
-        y_sq = 0.0 + ysq[0] + ysq[1] + ysq[2]
-        out = _group_sum_regression(t, g, u, y_sq, self.z_sum_sq, self.counts, self.n)
-        out["az_a"] = zy[0] / self.counts[0]
-        return out
+        """Both estimators from a (4, 3, m) block of per-group sums (the kernel's input)."""
+        return _group_sum_regression(sums, self.z_sum_sq, self.counts, self.n)
 
     def _position_sums(self, sequences: np.ndarray, start: int) -> np.ndarray:
         """(12, rows) per-group sums of the operands over a table's positions.

@@ -279,14 +279,25 @@ def normalize_z(pop: Population) -> tuple[Population, ZNormalization]:
     The applied shift and scale are returned rather than silently
     discarded: translating the covariate changes individual effect
     estimates (only differences are invariant), so callers must be able
-    to see what was done.
+    to see what was done.  Raises :class:`ValueError` for a covariate
+    whose standard deviation is at most ``1e-12`` of its root mean square
+    ("zero variance"), and for one so small that its squares lose bits to
+    subnormal rounding, so that the rescaled ``z`` misses mean square 1.
     """
     shift, mean_sq = z_moments(pop)
     centered = pop.z - shift
     scale = math.sqrt(_exact_mean(centered * centered, "the variance of z"))
-    if scale <= 1e-12 * max(math.sqrt(mean_sq), 1.0):
+    if scale <= 1e-12 * math.sqrt(mean_sq):
         raise ValueError("zero variance covariate")
-    return Population(pop.a, pop.b, pop.c, centered / scale), ZNormalization(shift, scale)
+    normalized = Population(pop.a, pop.b, pop.c, centered / scale)
+    # only the mean square is checked: a mean far from 0 relative to the
+    # spread leaves the rounded shift's error in the normalized mean
+    if not abs(z_moments(normalized)[1] - 1.0) <= NORMALIZATION_TOL:
+        raise ValueError(
+            f"covariate scale {scale!r} is too small: the squares of z lose bits "
+            "to subnormal rounding, so z cannot be normalized to mean square 1"
+        )
+    return normalized, ZNormalization(shift, scale)
 
 
 def _compute_z_moments(pop: Population) -> tuple[float, float]:

@@ -144,6 +144,39 @@ class TestAnalyze:
         assert "covariate z has mean 50.0 and mean square" in err
         assert "need 0 and 1" in err
 
+    # z = scale * (1, 4, 2, 9, 13, 11)
+    Z_SHAPE = np.array([1.0, 4.0, 2.0, 9.0, 13.0, 11.0])
+
+    def test_small_covariate_normalized(self, capsys, tmp_path):
+        # the zero-variance test is relative to z's own magnitude: a z at
+        # 1e-13 normalizes like the same shape at 1e-3
+        reports = []
+        for scale in (1e-13, 1e-3):
+            pop = triarm.Population(self.Z_SHAPE, 2.0 * self.Z_SHAPE, -self.Z_SHAPE, scale * self.Z_SHAPE)
+            path = write_population_csv(tmp_path / f"z{scale:g}.csv", pop)
+            code, out, err = run_cli(capsys, "analyze", path, "--sizes", "2,2,2", "--format", "json")
+            assert code == 0, err
+            reports.append(strict_json(out))
+        small, large = reports
+        assert small["z_normalization"]["scale"] == pytest.approx(1e-10 * large["z_normalization"]["scale"])
+        np.testing.assert_allclose(small["moments"]["covariance"], large["moments"]["covariance"], rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "z, message",
+        [
+            (1e-160 * Z_SHAPE, "error: covariate scale 4.5704590038822033e-160 is too small: "),
+            (np.full(6, 7.0), "error: zero variance covariate\n"),
+        ],
+        ids=["subnormal-squares", "constant"],
+    )
+    def test_unnormalizable_covariate_exit_2(self, capsys, tmp_path, z, message):
+        pop = triarm.Population(self.Z_SHAPE, 2.0 * self.Z_SHAPE, -self.Z_SHAPE, z)
+        path = write_population_csv(tmp_path / "pop.csv", pop)
+        code, out, err = run_cli(capsys, "analyze", path, "--sizes", "2,2,2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(message)
+
     def test_normalization_decided_once_per_population(self, capsys, table_csv, monkeypatch):
         decided = []
         real = population._compute_z_moments
@@ -383,6 +416,27 @@ class TestDumpTarget:
         assert stat.S_ISFIFO(fifo.stat().st_mode)
         assert received[0].count(b"\r\n") == 31
         assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.pipe", "table1.csv"]
+
+    @pytest.mark.parametrize("link", [False, True], ids=["same-path", "symlink"])
+    @pytest.mark.parametrize(
+        "flags",
+        [("enumerate",), ("simulate", "--reps", "100", "--seed", "1")],
+        ids=["enumerate", "simulate"],
+    )
+    def test_population_file_refused(self, capsys, table_csv, tmp_path, flags, link):
+        before = Path(table_csv).read_bytes()
+        dump = tmp_path / "link.csv"
+        if link:
+            dump.symlink_to(table_csv)
+        else:
+            dump = Path(table_csv)
+        command, *extra = flags
+        code, out, err = run_cli(capsys, command, table_csv, "--sizes", "2,2,2", *extra, "--dump", str(dump))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --dump {dump} is the population file; the dump would replace it\n"
+        assert Path(table_csv).read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")] == []
 
     def test_missing_directory_names_file(self, capsys, table_csv, tmp_path):
         (tmp_path / "d").mkdir()

@@ -121,6 +121,34 @@ class TestMREstimates:
             assert one.q_hat == pytest.approx(two.q_hat, abs=1e-10)
             assert one.sigma_hat_sq == pytest.approx(two.sigma_hat_sq, abs=1e-10)
 
+    def test_normal_equations_do_not_depend_on_blas_kernel(self, tmp_path):
+        # Every group sum comes from np.bincount; the one BLAS call, z @ z,
+        # is exact for integer-valued z, so no output bit may depend on
+        # the kernel.
+        script = """
+            import sys
+            import numpy as np
+            from triarm import Assignment, SingularDesignError, mr_via_normal_equations
+            rng = np.random.default_rng(48)
+            rows = []
+            for _ in range(3000):
+                n = int(rng.integers(6, 13))
+                codes = np.concatenate([[0, 1, 2], rng.integers(0, 3, size=n - 3)])
+                z = rng.integers(-20, 21, size=n).astype(float)
+                y = rng.uniform(-5, 5, size=n)
+                try:
+                    fit = mr_via_normal_equations(z, y, Assignment(rng.permutation(codes)))
+                except SingularDesignError:
+                    continue
+                rows.append(
+                    [*fit.as_vector(), fit.q_hat, fit.sigma_hat_sq, fit.residual_sq_e,
+                     fit.residual_sq_f, *fit.nominal_cov.ravel()]
+                )
+            np.savez(sys.argv[1], fits=np.array(rows))
+            """
+        default = assert_same_bytes_under_two_blas_kernels(tmp_path, script)
+        assert len(default["fits"]) > 2900
+
     def test_against_generic_least_squares(self):
         rng = np.random.default_rng(12)
         for _ in range(200):
@@ -410,19 +438,7 @@ class TestBatchEvaluator:
         # from them alone, must keep their bytes.  mr and q_hat also read
         # z_sum_sq, a BLAS dot whose bits do depend on the kernel today, so
         # they are not compared.
-        if platform.machine().lower() not in ("x86_64", "amd64"):
-            pytest.skip("OPENBLAS_CORETYPE names x86-64 kernels")
-        try:
-            blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        except (TypeError, KeyError):
-            pytest.skip("numpy does not report its BLAS build (numpy < 1.26)")
-        if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
-            pytest.skip(f"numpy links {blas.get('name')!r}, not a DYNAMIC_ARCH OpenBLAS")
-        # Prescott needs SSE3, which numpy's own x86-64 baseline requires:
-        # a CPU that imports numpy can run it.
-        root = Path(__file__).resolve().parent.parent
-        script = textwrap.dedent(
-            """
+        script = """
             import sys
             import numpy as np
             from workloads import generate_population
@@ -439,26 +455,49 @@ class TestBatchEvaluator:
                     out[f"{sizes.n}_{k}"] = np.concatenate([r[k] for r in res])
             np.savez(sys.argv[1], **out)
             """
-        )
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
-        env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root / "perfbench")])
-        outputs = []
-        for coretype in (None, "Prescott"):
-            path = tmp_path / f"{coretype}.npz"
-            run_env = env if coretype is None else dict(env, OPENBLAS_CORETYPE=coretype)
-            proc = subprocess.run(
-                [sys.executable, "-c", script, str(path)], env=run_env, capture_output=True, text=True
-            )
-            assert proc.returncode == 0, proc.stderr
-            with np.load(path) as arrays:
-                outputs.append({key: arrays[key] for key in arrays.files})
-        default, prescott = outputs
+        default = assert_same_bytes_under_two_blas_kernels(tmp_path, script)
         assert default["15_itt"].shape == (756_756, 3)
         assert default["18_itt"].shape == (18_360, 3)
         assert default["20_itt"].shape == (29_070, 3)
-        for key, value in default.items():
-            differ = np.count_nonzero(value.view(np.int64) != prescott[key].view(np.int64))
-            assert differ == 0, f"{key}: {differ} elements differ between BLAS kernels"
+
+
+def assert_same_bytes_under_two_blas_kernels(tmp_path, script):
+    """Run ``script PATH``, which writes arrays to the ``.npz`` file PATH,
+    under the default OpenBLAS kernel and under the forced Prescott kernel,
+    and assert that every array has the same bytes; returns the default
+    run's arrays.  Skips where numpy links no ``DYNAMIC_ARCH`` OpenBLAS.
+    """
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("OPENBLAS_CORETYPE names x86-64 kernels")
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        pytest.skip("numpy does not report its BLAS build (numpy < 1.26)")
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        pytest.skip(f"numpy links {blas.get('name')!r}, not a DYNAMIC_ARCH OpenBLAS")
+    # Prescott needs SSE3, which numpy's own x86-64 baseline requires:
+    # a CPU that imports numpy can run it.
+    root = Path(__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root / "perfbench")])
+    outputs = []
+    for coretype in (None, "Prescott"):
+        path = tmp_path / f"{coretype}.npz"
+        run_env = env if coretype is None else dict(env, OPENBLAS_CORETYPE=coretype)
+        proc = subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(script), str(path)],
+            env=run_env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        with np.load(path) as arrays:
+            outputs.append({key: arrays[key] for key in arrays.files})
+    default, prescott = outputs
+    for key, value in default.items():
+        differ = np.count_nonzero(value.view(np.int64) != prescott[key].view(np.int64))
+        assert differ == 0, f"{key}: {differ} elements differ between BLAS kernels"
+    return default
 
 
 def assert_same_output(got, want):
@@ -524,10 +563,19 @@ def per_group_reference(ev, pop, codes=None, idx=None):
             block = np.ascontiguousarray(idx[:, lo : lo + int(ev.counts[k])])
             for q, x in enumerate(operand_columns(pop, k)):
                 sums[q, k] = x.take(block).sum(axis=1)
+    return rowwise_reference(sums, pop.z @ pop.z, ev.counts, pop.n)
+
+
+def rowwise_reference(sums, zsq, counts, n):
+    """The kernel's output for a (4, 3, m) block, by the row-wise kernel.
+
+    The zY sums are added A, B, C and the Y^2 sums by numpy's ``sum``,
+    which starts from +0.0 (``test_numpy_sums_three_from_a_zero_start``).
+    """
     t, zy, ysq, g = (np.ascontiguousarray(s.T) for s in sums)
-    u = zy[:, 0] + zy[:, 1] + zy[:, 2]  # no zero start, as the evaluator adds it
-    out = rowwise_group_sum_regression(t, g, u, ysq.sum(axis=1), pop.z @ pop.z, ev.counts, pop.n)
-    out["az_a"] = zy[:, 0] / ev.counts[0]
+    u = zy[:, 0] + zy[:, 1] + zy[:, 2]  # no zero start, as the kernel adds it
+    out = rowwise_group_sum_regression(t, g, u, ysq.sum(axis=1), zsq, counts, n)
+    out["az_a"] = zy[:, 0] / counts[0]
     return out
 
 
@@ -578,10 +626,10 @@ GROUP_SUMS = st.one_of(
 )
 
 
-def assert_same_kernel_output(t, g, u, ysq, zsq, counts, n):
+def assert_same_kernel_output(sums, zsq, counts, n):
     with np.errstate(all="ignore"):
-        expected = rowwise_group_sum_regression(t, g, u, ysq, zsq, counts, n)
-        got = _group_sum_regression(tuple(t.T), tuple(g.T), u, ysq, zsq, counts, n)
+        expected = rowwise_reference(sums, zsq, counts, n)
+        got = _group_sum_regression(sums, zsq, counts, n)
         expected["nominal_cov"] = nominal_covariance(expected, counts)
         got["nominal_cov"] = nominal_covariance(got, counts)
     assert got.keys() == expected.keys()
@@ -594,7 +642,7 @@ class TestGroupSumKernel:
     """The column kernel gives the bits of the row-wise kernel with its sums written out."""
 
     def test_numpy_sums_three_from_a_zero_start(self):
-        # the evaluator's ``0.0 + A + B + C`` sum of Y^2 rests on this order
+        # the kernel's ``0.0 + A + B + C`` sum of Y^2 rests on this order
         rows = np.array(list(itertools.product(SPECIAL_VALUES, repeat=3)))
         with np.errstate(all="ignore"):
             expected = rows.sum(axis=1)
@@ -623,24 +671,21 @@ class TestGroupSumKernel:
         rng = np.random.default_rng(46)
         counts = np.array([2.0, 3.0, 4.0])
         for _ in range(300):
-            t, g = rng.normal(size=(2, 1, 3))
-            u, ysq = rng.normal(size=(2, 1))
-            assert_same_kernel_output(t, g, u, ysq + 30.0, 40.0, counts, 9)
+            sums = rng.normal(size=(4, 3, 1))
+            sums[2] += 10.0  # the Y^2 sums add up to about 30
+            assert_same_kernel_output(sums, 40.0, counts, 9)
 
     def test_negative_zero_terms(self):
         # every g * t / counts term is -0.0: the row-wise sum is +0.0, so
         # ef = -0.0 - 0.0 stays -0.0 and so do q_hat and its products
-        t = np.array([[1.0, 2.0, 3.0]])
-        g = np.array([[-0.0, -0.0, -0.0]])
-        assert_same_kernel_output(
-            t, g, np.array([-0.0]), np.array([14.0]), 1.0, np.array([1.0, 2.0, 3.0]), 6
-        )
+        t, zy, ysq, g = [1.0, 2.0, 3.0], [-0.0] * 3, [1.0, 4.0, 9.0], [-0.0] * 3
+        sums = np.array([t, zy, ysq, g]).reshape(4, 3, 1)
+        assert_same_kernel_output(sums, 1.0, np.array([1.0, 2.0, 3.0]), 6)
 
     @settings(max_examples=200)
     @given(data=st.data(), m=st.integers(1, 5), sizes=st.tuples(*[st.integers(1, 4)] * 3))
     def test_matches_rowwise_kernel(self, data, m, sizes):
-        t, g = (data.draw(arrays(np.float64, (m, 3), elements=GROUP_SUMS)) for _ in range(2))
-        u, ysq = (data.draw(arrays(np.float64, m, elements=GROUP_SUMS)) for _ in range(2))
+        sums = data.draw(arrays(np.float64, (4, 3, m), elements=GROUP_SUMS))
         zsq = data.draw(GROUP_SUMS)
         counts = np.array(sizes, dtype=float)
-        assert_same_kernel_output(t, g, u, ysq, zsq, counts, sum(sizes))
+        assert_same_kernel_output(sums, zsq, counts, sum(sizes))

@@ -661,6 +661,12 @@ class TestNormalizeZ:
         with pytest.raises(ValueError, match="zero variance covariate"):
             normalize_z(pop)
 
+    def test_small_scale_normalizes_like_unit_scale(self):
+        # the zero-variance test is relative to z's own magnitude
+        shape = np.array([1.0, 4.0, 2.0, 9.0, 13.0, 11.0])
+        small, large = (normalize_z(Population(shape, shape, shape, s * shape))[0].z for s in (1e-13, 1e-3))
+        np.testing.assert_allclose(small, large, rtol=0, atol=1e-15)
+
     def test_responses_untouched(self, table_pop):
         normalized, _ = normalize_z(table_pop)
         np.testing.assert_array_equal(normalized.a, table_pop.a)
